@@ -128,7 +128,6 @@ func checkClockAndRand(pass *analysis.Pass, an *annots, fn *ast.FuncDecl, sel *a
 // sendNames are the Node methods that emit ordered output: messages and
 // positional output-column writes.
 var sendNames = map[string]bool{
-	"Send": true, "SendAll": true,
 	"SendWord": true, "SendWords": true, "SendAllWord": true,
 	"SetOutputWord": true, "SetOutputWords": true,
 }

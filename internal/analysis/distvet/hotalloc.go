@@ -9,10 +9,10 @@ import (
 
 // HotAllocAnalyzer enforces the zero-allocation contract of functions
 // annotated //distvet:noalloc: the engine's round loop, recolorOnce and
-// every WordIOAlgorithm step implementation. It is a syntactic gate - the
-// escape-analysis companion (cmd/escapecheck) verifies the compiler
-// agrees - so it flags allocating CONSTRUCTS rather than proven heap
-// allocations:
+// the pipeline's InitWords/StepWords implementations. It is a syntactic
+// gate - the escape-analysis companion (cmd/escapecheck) verifies the
+// compiler agrees - so it flags allocating CONSTRUCTS rather than
+// proven heap allocations:
 //
 //   - make, new, append and slice/map composite literals (a value struct
 //     literal is stack state and stays legal);

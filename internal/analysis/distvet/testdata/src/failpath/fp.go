@@ -10,49 +10,41 @@ import (
 
 type algo struct{}
 
-func (algo) Init(n *dist.Node) {
-	n.Output = errors.New("boom") // want `error smuggled through Node\.Output`
+func (algo) InitWords(n *dist.Node) {
+	if n.Degree() < 0 {
+		panic("negative degree") // want `raw panic in vertex program InitWords`
+	}
+	n.Fail(errors.New("boom")) // the first-class error path
 }
 
-func (algo) Step(n *dist.Node, inbox []dist.Message) {
-	err := fmt.Errorf("vertex broke")
-	n.Output = err // want `error smuggled through Node\.Output`
-	n.Output = 3   // a non-error output is the normal result path
-	n.Output = nil // clearing the slot is fine
-	n.Fail(err)    // the first-class error path
-	n.Failf("vertex %d broke", n.ID())
-}
-
-func (algo) StepWords(n *dist.Node, inbox []int64) {
+func (algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	if n.ID() < 0 {
 		panic("impossible id") // want `raw panic in vertex program StepWords`
 	}
 	func() {
 		panic("closures still run inside the step") // want `raw panic in vertex program StepWords`
 	}()
+	n.Failf("vertex %d broke: %v", n.ID(), fmt.Errorf("cause"))
 	//distvet:panic-ok engine-misuse guard; the program itself is broken here
 	panic("sanctioned")
 	panic("sanctioned inline") //distvet:panic-ok same-line directive
 	panic("no reason given")   /* want "annotation requires a justification" */ //distvet:panic-ok
 }
 
-// step is not a vertex-program entry point (wrong name): raw panics are
-// its own business.
+// Step and step are not vertex-program entry points (the engine calls
+// only InitWords and StepWords): raw panics are their own business.
+func (algo) Step(n *dist.Node) {
+	panic("not an entry point")
+}
+
 func (algo) step(n *dist.Node) {
 	panic("helper panic, out of scope")
 }
 
-// Step without a *dist.Node parameter is some other Step entirely.
+// StepWords without a *dist.Node parameter is some other StepWords
+// entirely.
 type walker struct{}
 
-func (walker) Step(depth int) {
+func (walker) StepWords(depth int) {
 	panic("not a vertex program")
-}
-
-// notNode has an Output field too; assigning an error to it is fine -
-// only dist.Node's slot feeds the engine's result decoding.
-type notNode struct{ Output any }
-
-func otherOutput(x *notNode) {
-	x.Output = errors.New("unrelated")
 }

@@ -33,10 +33,6 @@ func cvIterations(n int) int {
 	return count
 }
 
-type cvInput struct {
-	ParentPort int // -1 for roots
-}
-
 type cvState struct {
 	color   int
 	reduceT int
@@ -45,21 +41,23 @@ type cvState struct {
 	shifted  int
 }
 
+// cvAlgo is the Cole-Vishkin vertex program. The input word is the port
+// leading to the vertex's parent (-1 for roots); messages and the output
+// word are colors.
 type cvAlgo struct{}
 
-func (cvAlgo) Init(n *dist.Node) {
-	in, ok := n.Input.(cvInput)
-	if !ok {
-		n.Failf("baseline: bad cole-vishkin input %T", n.Input)
-		return
-	}
-	if in.ParentPort >= n.Degree() {
-		n.Failf("baseline: parent port %d out of range", in.ParentPort)
+func (cvAlgo) MessageWords() int { return 1 }
+func (cvAlgo) InputWidth() int   { return 1 }
+func (cvAlgo) OutputWidth() int  { return 1 }
+
+func (cvAlgo) InitWords(n *dist.Node) {
+	if pp := n.InputWords()[0]; pp >= int64(n.Degree()) {
+		n.Failf("baseline: parent port %d out of range", pp)
 		return
 	}
 	st := &cvState{color: n.ID() - 1, reduceT: cvIterations(n.N())}
 	n.State = st
-	n.SendAll(st.color)
+	n.SendAllWord(int64(st.color))
 }
 
 // fakeParentColor gives roots an imaginary parent color differing from
@@ -71,13 +69,13 @@ func fakeParentColor(c int) int {
 	return 0
 }
 
-func (cvAlgo) Step(n *dist.Node, inbox []dist.Message) {
-	in := n.Input.(cvInput)
+func (cvAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
+	parentPort := int(n.InputWords()[0])
 	st := n.State.(*cvState)
 
 	parentColor := func() int {
-		if in.ParentPort >= 0 && inbox[in.ParentPort] != nil {
-			return inbox[in.ParentPort].(int)
+		if parentPort >= 0 && inbox.Has(parentPort) {
+			return int(inbox.Word(parentPort))
 		}
 		return fakeParentColor(st.color)
 	}
@@ -89,7 +87,7 @@ func (cvAlgo) Step(n *dist.Node, inbox []dist.Message) {
 		diff := st.color ^ pc
 		i := bits.TrailingZeros(uint(diff))
 		st.color = 2*i + (st.color>>i)&1
-		n.SendAll(st.color)
+		n.SendAllWord(int64(st.color))
 		return
 	}
 
@@ -101,7 +99,7 @@ func (cvAlgo) Step(n *dist.Node, inbox []dist.Message) {
 		// fresh color differing from their own (hence from their
 		// children's new color).
 		st.oldColor = st.color
-		if in.ParentPort >= 0 {
+		if parentPort >= 0 {
 			st.shifted = parentColor()
 		} else {
 			// Roots pick a fresh color from {0,1,2} differing from their
@@ -112,7 +110,7 @@ func (cvAlgo) Step(n *dist.Node, inbox []dist.Message) {
 			}
 		}
 		st.color = st.shifted
-		n.SendAll(st.color)
+		n.SendAllWord(int64(st.color))
 		return
 	}
 	// Recolor round: vertices holding the target color choose from
@@ -128,17 +126,18 @@ func (cvAlgo) Step(n *dist.Node, inbox []dist.Message) {
 		}
 	}
 	if target == 3 {
-		n.Output = st.color
+		n.SetOutputWord(int64(st.color))
 		n.Halt()
 		return
 	}
-	n.SendAll(st.color)
+	n.SendAllWord(int64(st.color))
 }
 
 // CVResult reports a Cole-Vishkin run.
 type CVResult struct {
-	Colors []int
-	Rounds int
+	Colors   []int
+	Rounds   int
+	Messages int64
 }
 
 // ColeVishkinForest 3-colors a rooted forest in O(log* n) rounds.
@@ -150,31 +149,24 @@ func ColeVishkinForest(net *dist.Network, parentOf []int) (*CVResult, error) {
 	if len(parentOf) != g.N() {
 		return nil, fmt.Errorf("baseline: parentOf has %d entries for %d vertices", len(parentOf), g.N())
 	}
-	inputs := make([]any, g.N())
+	parentPorts := make([]int64, g.N())
 	for v := 0; v < g.N(); v++ {
-		port := -1
+		parentPorts[v] = -1
 		if p := parentOf[v]; p >= 0 {
-			port = g.PortOf(v, p)
+			port := g.PortOf(v, p)
 			if port < 0 {
 				return nil, fmt.Errorf("baseline: parent %d of %d is not a neighbor", p, v)
 			}
+			parentPorts[v] = int64(port)
 		}
-		inputs[v] = cvInput{ParentPort: port}
 	}
-	res, err := net.Run(cvAlgo{}, dist.RunOptions{Inputs: inputs})
+	res, err := net.Run(cvAlgo{}, dist.RunOptions{InputWords: parentPorts})
 	if err != nil {
 		return nil, err
 	}
 	colors := make([]int, g.N())
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case int:
-			colors[v] = x
-		case error:
-			return nil, fmt.Errorf("baseline: vertex %d: %w", v, x)
-		default:
-			return nil, fmt.Errorf("baseline: vertex %d output %T", v, o)
-		}
+	if err := dist.IntsFromWords(res, colors); err != nil {
+		return nil, err
 	}
-	return &CVResult{Colors: colors, Rounds: res.Rounds}, nil
+	return &CVResult{Colors: colors, Rounds: res.Rounds, Messages: res.Messages}, nil
 }

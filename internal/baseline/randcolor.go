@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/dist"
@@ -12,31 +11,28 @@ import (
 // vertex proposes a uniformly random color from its remaining palette;
 // a proposal is kept when no undecided neighbor proposed the same color
 // (identifier priority breaks ties). Decided colors are announced and
-// removed from neighbors' palettes. O(log n) iterations w.h.p.
+// removed from neighbors' palettes. O(log n) iterations w.h.p. Odd
+// rounds carry proposals (color, id) and even rounds final colors
+// (color, 0); the output word is the color.
 type randColorAlgo struct {
 	seed    int64
 	palette int
 }
 
-type rcPropose struct {
-	C  int
-	ID int
-}
-
-type rcFinal struct {
-	C int
-}
-
 type rcState struct {
 	rng      *rand.Rand
-	taken    map[int]bool
+	taken    []bool
 	proposal int
 }
 
-func (a randColorAlgo) Init(n *dist.Node) {
+func (randColorAlgo) MessageWords() int { return 2 }
+func (randColorAlgo) InputWidth() int   { return 0 }
+func (randColorAlgo) OutputWidth() int  { return 1 }
+
+func (a randColorAlgo) InitWords(n *dist.Node) {
 	st := &rcState{
 		rng:   rand.New(rand.NewSource(nodeSeed(a.seed, n.ID(), tagRandColor))),
-		taken: make(map[int]bool),
+		taken: make([]bool, a.palette),
 	}
 	n.State = st
 	st.propose(a, n)
@@ -56,37 +52,31 @@ func (st *rcState) propose(a randColorAlgo, n *dist.Node) {
 		return
 	}
 	st.proposal = free[st.rng.Intn(len(free))]
-	n.SendAll(rcPropose{C: st.proposal, ID: n.ID()})
+	sendAllPair(n, int64(st.proposal), int64(n.ID()))
 }
 
-func (a randColorAlgo) Step(n *dist.Node, inbox []dist.Message) {
+func (a randColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	st := n.State.(*rcState)
 	if n.Round()%2 == 1 {
 		// Proposal round results: keep the color unless an undecided
 		// neighbor with priority proposed the same one.
-		keep := true
-		for _, m := range inbox {
-			if m == nil {
+		for p := 0; p < inbox.Ports(); p++ {
+			if !inbox.Has(p) {
 				continue
 			}
-			if p, ok := m.(rcPropose); ok && p.C == st.proposal && p.ID > n.ID() {
-				keep = false
+			if w := inbox.Words(p); int(w[0]) == st.proposal && int(w[1]) > n.ID() {
+				return
 			}
 		}
-		if keep {
-			n.Output = st.proposal
-			n.SendAll(rcFinal{C: st.proposal})
-			n.Halt()
-		}
+		n.SetOutputWord(int64(st.proposal))
+		sendAllPair(n, int64(st.proposal), 0)
+		n.Halt()
 		return
 	}
 	// Announcement round: record finalized neighbor colors, then repropose.
-	for _, m := range inbox {
-		if m == nil {
-			continue
-		}
-		if f, ok := m.(rcFinal); ok {
-			st.taken[f.C] = true
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) {
+			st.taken[inbox.Words(p)[0]] = true
 		}
 	}
 	st.propose(a, n)
@@ -107,15 +97,8 @@ func RandomizedColoring(net *dist.Network, seed int64) (*RandColorResult, error)
 		return nil, err
 	}
 	colors := make([]int, net.Graph().N())
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case int:
-			colors[v] = x
-		case error:
-			return nil, fmt.Errorf("baseline: vertex %d: %w", v, x)
-		default:
-			return nil, fmt.Errorf("baseline: vertex %d output %T", v, o)
-		}
+	if err := dist.IntsFromWords(res, colors); err != nil {
+		return nil, err
 	}
 	return &RandColorResult{Colors: colors, Rounds: res.Rounds, Messages: res.Messages}, nil
 }

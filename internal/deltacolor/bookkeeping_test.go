@@ -2,59 +2,10 @@ package deltacolor
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 )
-
-// TestColorWithinWordShadowsBoxed pins the whole (Delta+1)-coloring
-// recursion - defective splits, label compaction, base reduction,
-// bottom-up merges - bit-for-bit across the typed word plane and the
-// boxed fallback, including under base labels and an active mask.
-func TestColorWithinWordShadowsBoxed(t *testing.T) {
-	rng := rand.New(rand.NewSource(420))
-	g := graph.Gnp(220, 0.06, rng)
-	base := dist.NewNetworkPermuted(g, rand.New(rand.NewSource(421)))
-	labels := make([]int, g.N())
-	active := make([]bool, g.N())
-	for v := range labels {
-		labels[v] = rng.Intn(2)
-		active[v] = rng.Intn(9) > 0
-	}
-	degBound := 0
-	for v := 0; v < g.N(); v++ {
-		if !active[v] {
-			continue
-		}
-		d := 0
-		for _, u := range g.Neighbors(v) {
-			if labels[u] == labels[v] && active[u] {
-				d++
-			}
-		}
-		if d > degBound {
-			degBound = d
-		}
-	}
-	run := func(d dist.Delivery) *Result {
-		res, err := ColorWithin(base.WithDelivery(d), labels, active, degBound)
-		if err != nil {
-			t.Fatalf("delivery=%v: %v", d, err)
-		}
-		return res
-	}
-	word := run(dist.DeliveryBatch)
-	boxed := run(dist.DeliveryBoxed)
-	if !reflect.DeepEqual(word.Colors, boxed.Colors) || word.Palette != boxed.Palette {
-		t.Fatal("word and boxed (Delta+1)-colorings diverge")
-	}
-	if word.Tally.Rounds() != boxed.Tally.Rounds() || word.Tally.Messages() != boxed.Tally.Messages() {
-		t.Fatalf("tallies diverged: word %d/%d boxed %d/%d",
-			word.Tally.Rounds(), word.Tally.Messages(), boxed.Tally.Rounds(), boxed.Tally.Messages())
-	}
-}
 
 // BenchmarkDeltaColorBookkeeping measures the central simulation
 // bookkeeping of ColorWithin at large n in isolation: the per-level

@@ -20,27 +20,24 @@ import (
 // identical across worker counts and repeated runs; a test pins that.
 
 // RoundRecord is the fixed-width per-round trace record. One record is
-// emitted per Step round r = 1..Result.Rounds; the messages Init sends
-// (round 0) are folded into the first record, so the Messages fields of a
-// run's records sum exactly to Result.Messages. A run whose every node
-// halts during Init (Result.Rounds == 0) emits no round records; its
-// Init messages appear only in the RunRecord.
+// emitted per StepWords round r = 1..Result.Rounds; the messages
+// InitWords sends (round 0) are folded into the first record, so the
+// Messages fields of a run's records sum exactly to Result.Messages. A
+// run whose every node halts during InitWords (Result.Rounds == 0) emits
+// no round records; its InitWords messages appear only in the RunRecord.
 type RoundRecord struct {
 	// Run is the probe-scoped sequence number tying the record to its
 	// RunRecord.
 	Run int64 `json:"run"`
-	// Round is the Step round index, starting at 1.
+	// Round is the StepWords round index, starting at 1.
 	Round int `json:"round"`
 	// Live is the number of live nodes stepping this round.
 	Live int `json:"live"`
 	// Messages is the number of messages sent this round (round 1
-	// includes Init's sends; see above).
+	// includes InitWords' sends; see above).
 	Messages int64 `json:"messages"`
 	// Workers is the fan-out the step sweep used this round.
 	Workers int `json:"workers"`
-	// Batch reports the delivery plane (true = columnar batch transport,
-	// false = boxed []any fallback).
-	Batch bool `json:"batch"`
 	// WallNS is the wall time of the full round (step + delivery
 	// housekeeping + halt collection).
 	WallNS int64 `json:"wall_ns"`
@@ -81,8 +78,6 @@ type RunRecord struct {
 	PeakLive int   `json:"peak_live"`
 	// Workers is the resolved pool size of the run.
 	Workers int `json:"workers"`
-	// Batch reports the delivery plane.
-	Batch bool `json:"batch"`
 	// TopoCached reports a session topology-cache hit; ScratchPooled
 	// reports reuse of the pooled per-run scratch bundle.
 	TopoCached    bool `json:"topo_cached"`
@@ -337,7 +332,7 @@ func (p *Probe) Close() error {
 
 // WithProbe returns a view of the network sharing the graph, identifier
 // assignment and session whose Runs report to p (nil detaches). Like
-// WithDelivery, orchestrator-internal runs on the view inherit the
+// WithWorkers, orchestrator-internal runs on the view inherit the
 // probe, so attaching one at the pipeline entry point traces every
 // phase.
 func (net *Network) WithProbe(p *Probe) *Network {
@@ -367,7 +362,7 @@ func (s *simulation) runProbed() (*Result, error) {
 	// recovered panics) report the partial Result alongside the error;
 	// abort wraps the same path with the optional snapshot capture.
 	fail := func(rounds int, err error) (*Result, error) {
-		res := s.partial(rounds)
+		res := s.result(rounds)
 		s.emitRun(p, seq, phase, rounds, res.Messages, time.Since(compute), err)
 		return res, err
 	}
@@ -438,9 +433,7 @@ func (s *simulation) runProbed() (*Result, error) {
 		} else {
 			w, maxNS, meanNS = s.stepRoundTimed(r)
 		}
-		if s.fw != nil {
-			s.flushHaltClears()
-		}
+		s.flushHaltClears()
 		rounds = r
 		s.collectHalted(r)
 		wall := time.Since(roundStart)
@@ -466,7 +459,6 @@ func (s *simulation) runProbed() (*Result, error) {
 			Live:        live,
 			Messages:    cum - prevSent,
 			Workers:     w,
-			Batch:       s.fw != nil,
 			WallNS:      wall.Nanoseconds(),
 			MaxChunkNS:  maxNS,
 			MeanChunkNS: meanNS,
@@ -482,16 +474,8 @@ func (s *simulation) runProbed() (*Result, error) {
 			}
 		}
 	}
-	outs, msgs := s.collectResults()
-	res := &Result{
-		Outputs:     outs,
-		OutputWords: s.outCol,
-		Rounds:      rounds,
-		Messages:    msgs,
-		Wall:        time.Since(s.start),
-		PeakLive:    len(s.topo.live),
-	}
-	s.emitRun(p, seq, phase, rounds, msgs, time.Since(compute), nil)
+	res := s.result(rounds)
+	s.emitRun(p, seq, phase, rounds, res.Messages, time.Since(compute), nil)
 	return res, nil
 }
 
@@ -504,7 +488,6 @@ func (s *simulation) emitRun(p *Probe, seq int64, phase string, rounds int, msgs
 		Messages:      msgs,
 		PeakLive:      len(s.topo.live),
 		Workers:       s.workers,
-		Batch:         s.fw != nil,
 		TopoCached:    s.topoCached,
 		ScratchPooled: s.scratchPooled,
 		SetupNS:       s.setupNS,

@@ -63,17 +63,14 @@ func sameRun(t *testing.T, label string, got, want *Result) {
 	if got.Rounds != want.Rounds || got.Messages != want.Messages {
 		t.Fatalf("%s: rounds/messages %d/%d, want %d/%d", label, got.Rounds, got.Messages, want.Rounds, want.Messages)
 	}
-	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-		t.Fatalf("%s: outputs diverge", label)
-	}
 	if !reflect.DeepEqual(got.OutputWords, want.OutputWords) {
 		t.Fatalf("%s: output words diverge", label)
 	}
 }
 
 // TestCancelAtEveryRound is the session-safety gate for round-boundary
-// aborts: cancel a run at every round boundary k, in every delivery
-// mode, at several worker counts and under sharding, and require (a) a
+// aborts: cancel a run at every round boundary k, at several worker
+// counts, flat and sharded, and require (a) a
 // partial Result wrapped in ErrCanceled and (b) that the SAME session's
 // next full run matches a fresh network's bit for bit.
 func TestCancelAtEveryRound(t *testing.T) {
@@ -87,13 +84,12 @@ func TestCancelAtEveryRound(t *testing.T) {
 		opts  RunOptions
 		fresh func(t *testing.T) *Network
 	}
-	build := func(t *testing.T, d Delivery, workers, shards int) *Network {
+	build := func(t *testing.T, workers, shards int) *Network {
 		t.Helper()
 		net, err := NewNetworkWithIDs(g, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		net = net.WithDelivery(d)
 		if workers > 0 {
 			net = net.WithWorkers(workers)
 		}
@@ -109,22 +105,20 @@ func TestCancelAtEveryRound(t *testing.T) {
 		return net
 	}
 	var modes []mode
-	for _, d := range []Delivery{DeliveryBoxed, DeliveryBatch} {
-		for _, w := range []int{1, 4, 0} {
-			d, w := d, w
-			modes = append(modes, mode{
-				name:  fmt.Sprintf("%v/workers=%d", d, w),
-				view:  func(t *testing.T) *Network { return build(t, d, w, 1) },
-				fresh: func(t *testing.T) *Network { return build(t, d, w, 1) },
-			})
-		}
+	for _, w := range []int{1, 4, 0} {
+		w := w
+		modes = append(modes, mode{
+			name:  fmt.Sprintf("batch/workers=%d", w),
+			view:  func(t *testing.T) *Network { return build(t, w, 1) },
+			fresh: func(t *testing.T) *Network { return build(t, w, 1) },
+		})
 	}
 	for _, w := range []int{1, 0} {
 		w := w
 		modes = append(modes, mode{
 			name:  fmt.Sprintf("sharded/workers=%d", w),
-			view:  func(t *testing.T) *Network { return build(t, DeliveryBatch, w, 4) },
-			fresh: func(t *testing.T) *Network { return build(t, DeliveryBatch, w, 4) },
+			view:  func(t *testing.T) *Network { return build(t, w, 4) },
+			fresh: func(t *testing.T) *Network { return build(t, w, 4) },
 		})
 	}
 
@@ -201,39 +195,39 @@ func TestWallBudget(t *testing.T) {
 	}
 }
 
-// panicProg panics at (vertex from, round); every vertex >= from panics
+// panicWords panics at (vertex from, round); every vertex >= from panics
 // there, so the smallest-vertex-wins report is observable at every
 // worker count. Other rounds gossip normally.
-type panicProg struct {
+type panicWords struct {
 	from, round, rounds int
 }
 
-func (p panicProg) trip(n *Node) {
+func (panicWords) MessageWords() int { return 1 }
+func (panicWords) InputWidth() int   { return 0 }
+func (panicWords) OutputWidth() int  { return 0 }
+
+func (p panicWords) trip(n *Node) {
 	if n.Round() == p.round && n.Vertex() >= p.from {
 		panic(fmt.Sprintf("chaos trip at vertex %d", n.Vertex()))
 	}
 }
 
-func (p panicProg) Init(n *Node) {
-	p.trip(n)
-	n.SendAll(1)
-}
+func (p panicWords) InitWords(n *Node) { p.trip(n); n.SendAllWord(1) }
 
-func (p panicProg) Step(n *Node, inbox []Message) {
+func (p panicWords) StepWords(n *Node, inbox WordInbox) {
 	p.trip(n)
 	if n.Round() >= p.rounds {
-		n.Output = n.Round()
 		n.Halt()
 		return
 	}
-	n.SendAll(1)
+	n.SendAllWord(1)
 }
 
 // TestPanicContainment pins panic recovery into the deterministic
 // Node.Fail path: the error wraps ErrVertexPanic, names the globally
 // smallest panicking vertex, the round, and the recovered value - at
-// every worker count, on the boxed and batch-free (boxed-only program)
-// paths, and the session stays reusable afterwards.
+// every worker count, in InitWords and in StepWords - and the session
+// stays reusable afterwards.
 func TestPanicContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.ForestUnion(700, 3, rng)
@@ -249,7 +243,7 @@ func TestPanicContainment(t *testing.T) {
 				net = net.WithWorkers(workers)
 			}
 			for _, round := range []int{0, 2} {
-				res, err := net.Run(panicProg{from: 137, round: round, rounds: 5}, RunOptions{})
+				res, err := net.Run(panicWords{from: 137, round: round, rounds: 5}, RunOptions{})
 				if !errors.Is(err, ErrVertexPanic) {
 					t.Fatalf("round %d: err=%v, want ErrVertexPanic", round, err)
 				}
@@ -267,9 +261,6 @@ func TestPanicContainment(t *testing.T) {
 				}
 			}
 			// Session reuse after containment.
-			ref := runFull(t, NewNetwork(g), RunOptions{})
-			net2, _ := NewNetworkWithIDs(g, NewNetwork(g).IDs())
-			_ = net2
 			after, err := net.Run(wordGossip{rounds: 6}, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -280,7 +271,6 @@ func TestPanicContainment(t *testing.T) {
 			}
 			want := runFull(t, fresh, RunOptions{})
 			sameRun(t, "after panic", after, want)
-			_ = ref
 		})
 	}
 }
@@ -302,7 +292,7 @@ func TestPanicContainmentSharded(t *testing.T) {
 		if workers > 0 {
 			net = net.WithWorkers(workers)
 		}
-		res, err := net.Run(panicWords{from: 211, round: 1, rounds: 5}, RunOptions{Delivery: DeliveryBatch})
+		res, err := net.Run(panicWords{from: 211, round: 1, rounds: 5}, RunOptions{})
 		if !errors.Is(err, ErrVertexPanic) {
 			t.Fatalf("workers=%d: err=%v, want ErrVertexPanic", workers, err)
 		}
@@ -317,46 +307,12 @@ func TestPanicContainmentSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runFull(t, NewNetwork(g), RunOptions{Delivery: DeliveryBatch})
+		want := runFull(t, NewNetwork(g), RunOptions{})
 		sameRun(t, fmt.Sprintf("sharded workers=%d after panic", workers), after, want)
 	}
 }
 
-// panicWords is panicProg for the batch transport.
-type panicWords struct {
-	from, round, rounds int
-}
-
-func (panicWords) MessageWords() int { return 1 }
-
-func (p panicWords) trip(n *Node) {
-	if n.Round() == p.round && n.Vertex() >= p.from {
-		panic(fmt.Sprintf("chaos trip at vertex %d", n.Vertex()))
-	}
-}
-
-func (p panicWords) Init(n *Node)      { p.trip(n); n.SendAll(1) }
-func (p panicWords) InitWords(n *Node) { p.trip(n); n.SendAllWord(1) }
-
-func (p panicWords) Step(n *Node, inbox []Message) {
-	p.trip(n)
-	if n.Round() >= p.rounds {
-		n.Halt()
-		return
-	}
-	n.SendAll(1)
-}
-
-func (p panicWords) StepWords(n *Node, inbox WordInbox) {
-	p.trip(n)
-	if n.Round() >= p.rounds {
-		n.Halt()
-		return
-	}
-	n.SendAllWord(1)
-}
-
-// waveWords is a multi-round word-I/O program whose per-node state
+// waveWords is a multi-round program whose per-node state
 // lives ENTIRELY in the input column (scratch) - the snapshot
 // contract's qualifying shape. in[0] is the rolling digest, in[1] the
 // round budget; output is the final digest.
@@ -389,11 +345,6 @@ func (waveWords) StepWords(n *Node, inbox WordInbox) {
 	n.SendAllWord(acc % 99991)
 }
 
-// The boxed plane is unused by the snapshot tests; a program that keeps
-// state in columns has no boxed twin.
-func (waveWords) Init(n *Node)                { n.Failf("waveWords has no boxed plane") }
-func (waveWords) Step(n *Node, inbox []Message) {}
-
 func waveInputs(n int, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	words := make([]int64, 2*n)
@@ -404,9 +355,9 @@ func waveInputs(n int, seed int64) []int64 {
 	return words
 }
 
-// TestSnapshotResumeEveryRound is the checkpoint gate: abort a word-I/O
-// run at every round boundary with SnapshotOnAbort, push the snapshot
-// through the full DSN1 serialize/parse round trip, resume on a FRESH
+// TestSnapshotResumeEveryRound is the checkpoint gate: abort a run at
+// every round boundary with SnapshotOnAbort, push the snapshot through
+// the full DSN1 serialize/parse round trip, resume on a FRESH
 // network, and require outputs, absolute rounds and absolute messages
 // to match the uninterrupted run bit for bit. Shard counts vary between
 // capture and resume: snapshots are flat-layout portable.
@@ -436,7 +387,7 @@ func TestSnapshotResumeEveryRound(t *testing.T) {
 	run := func(t *testing.T, net *Network, opts RunOptions) (*Result, error) {
 		t.Helper()
 		opts.InputWords = waveInputs(n, 12)
-		return net.RunWords(waveWords{}, opts)
+		return net.Run(waveWords{}, opts)
 	}
 
 	ref, err := run(t, build(t, 1), RunOptions{})
@@ -495,25 +446,24 @@ func TestSnapshotResumeEveryRound(t *testing.T) {
 }
 
 // TestSnapshotContractRejections pins the refusal paths: snapshots
-// require the word-I/O batch plane with column-only state, and resumes
-// validate dimensions.
+// require column-only state, and resumes validate dimensions.
 func TestSnapshotContractRejections(t *testing.T) {
 	g := graph.Path(32)
 	net := NewNetwork(g)
-	// Boxed-state program: capture must refuse.
+	// Node.State program: capture must refuse.
 	_, err := net.Run(wordGossip{rounds: 4}, RunOptions{
-		Context: cancelAtRound(1), SnapshotOnAbort: true, Delivery: DeliveryBatch,
+		Context: cancelAtRound(1), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err=%v, want ErrCanceled with snapshot failure note", err)
 	}
 	if !strings.Contains(err.Error(), "snapshot not captured") {
-		t.Fatalf("boxed-state capture not refused: %v", err)
+		t.Fatalf("Node.State capture not refused: %v", err)
 	}
 
 	// A valid snapshot refuses to resume on a different graph.
 	words := waveInputs(g.N(), 3)
-	res, err := net.RunWords(waveWords{}, RunOptions{
+	res, err := net.Run(waveWords{}, RunOptions{
 		InputWords: words, Context: cancelAtRound(1), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) || res.Snapshot == nil {
@@ -534,7 +484,7 @@ func TestSnapshotContractRejections(t *testing.T) {
 func TestSnapshotTruncation(t *testing.T) {
 	g := graph.Path(48)
 	net := NewNetwork(g)
-	res, err := net.RunWords(waveWords{}, RunOptions{
+	res, err := net.Run(waveWords{}, RunOptions{
 		InputWords: waveInputs(g.N(), 5), Context: cancelAtRound(2), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) || res.Snapshot == nil {

@@ -8,13 +8,14 @@ import (
 	"repro/internal/graph"
 )
 
-// The shard shadow suite pins the shard-structured engine (shard.go) to
-// the flat engine bit-for-bit, the way PR 5's worker-count tests pinned
-// parallel execution: the same program over the same network must yield
-// identical Results at every shard count, on both transports, under
-// filters, and across pooled-scratch reuse.
+// The shard suite pins the shard-structured engine (shard.go) to the
+// flat engine bit-for-bit, the way the worker-count tests pin parallel
+// execution: the same program over the same network must yield
+// identical Results at every shard count, under filters, and across
+// pooled-scratch reuse - and the flat run must match the reference
+// engine.
 
-// shardCounts are the partitions every shadow case sweeps: flat baseline
+// shardCounts are the partitions every shard case sweeps: flat baseline
 // (1), small counts, a count that does not divide n, and "auto".
 func shardCounts(t *testing.T, n int) []graph.Sharding {
 	t.Helper()
@@ -44,24 +45,17 @@ func runSharded(t *testing.T, net *Network, sh graph.Sharding, algo Algorithm, o
 	return res
 }
 
-// shadowShards runs algo flat, then at every shard count on both
-// transports, demanding bit-for-bit identical Results throughout.
-func shadowShards(t *testing.T, net *Network, algo FixedWidthAlgorithm, opts RunOptions) {
+// matchShards runs algo flat against the reference engine, then at
+// every shard count, demanding bit-for-bit identical Results throughout.
+func matchShards(t *testing.T, net *Network, algo Algorithm, opts RunOptions) {
 	t.Helper()
-	flat, err := net.Run(algo, opts)
-	if err != nil {
-		t.Fatalf("flat run: %v", err)
-	}
+	flat := matchReference(t, net, algo, opts)
 	flat.Wall = 0
 	for _, sh := range shardCounts(t, net.Graph().N()) {
-		for _, d := range []Delivery{DeliveryBatch, DeliveryBoxed} {
-			o := opts
-			o.Delivery = d
-			got := runSharded(t, net, sh, algo, o)
-			if !reflect.DeepEqual(flat, got) {
-				t.Fatalf("%d shards (%s) diverged from flat: rounds %d/%d messages %d/%d",
-					sh.NumShards(), d, got.Rounds, flat.Rounds, got.Messages, flat.Messages)
-			}
+		got := runSharded(t, net, sh, algo, opts)
+		if !reflect.DeepEqual(flat, got) {
+			t.Fatalf("%d shards diverged from flat: rounds %d/%d messages %d/%d",
+				sh.NumShards(), got.Rounds, flat.Rounds, got.Messages, flat.Messages)
 		}
 	}
 }
@@ -71,14 +65,14 @@ func TestShardedMatchesFlatOnRandomGraphs(t *testing.T) {
 		rng := rand.New(rand.NewSource(800 + seed))
 		g := graph.Gnp(200, 0.04, rng)
 		net := NewNetworkPermuted(g, rng)
-		shadowShards(t, net, wordGossip{rounds: 6}, RunOptions{})
+		matchShards(t, net, wordGossip{rounds: 6}, RunOptions{})
 	}
 }
 
 func TestShardedMatchesFlatMultiWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(810))
 	net := NewNetworkPermuted(graph.Grid(12, 12), rng)
-	shadowShards(t, net, tripleTag{rounds: 5}, RunOptions{})
+	matchShards(t, net, tripleTag{rounds: 5}, RunOptions{})
 }
 
 func TestShardedMatchesFlatUnderFilters(t *testing.T) {
@@ -91,7 +85,7 @@ func TestShardedMatchesFlatUnderFilters(t *testing.T) {
 		labels[v] = rng.Intn(3)
 		active[v] = rng.Intn(5) > 0
 	}
-	shadowShards(t, net, wordGossip{rounds: 5}, RunOptions{Labels: labels, Active: active})
+	matchShards(t, net, wordGossip{rounds: 5}, RunOptions{Labels: labels, Active: active})
 }
 
 // More shards than vertices: the trailing shards are empty, their column
@@ -128,7 +122,7 @@ func TestShardedParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Result {
-		res, err := view.Run(wordGossip{rounds: 8}, RunOptions{Delivery: DeliveryBatch, Workers: workers})
+		res, err := view.Run(wordGossip{rounds: 8}, RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,6 +162,7 @@ func TestShardedNetworkReusableAcrossRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			res.Wall = 0
+			res.OutputWords = append([]int64(nil), res.OutputWords...) // the next run reclaims the column
 			if round == 0 {
 				first = append(first, res)
 			} else if !reflect.DeepEqual(first[i], res) {
@@ -177,19 +172,19 @@ func TestShardedNetworkReusableAcrossRuns(t *testing.T) {
 	}
 }
 
-// The word-I/O plane on a sharded view: typed columns against boxed
-// structs, both through shard-local message columns.
+// Input and output columns on a sharded view, through shard-local
+// message columns, against the reference engine.
 func TestShardedWordIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(860))
 	g := graph.Gnp(150, 0.05, rng)
 	net := NewNetworkPermuted(g, rng)
-	boxed, words := seedMixCase(g, rng)
+	words := seedMixInputs(g, rng)
 	for _, sh := range shardCounts(t, g.N()) {
 		view, err := net.Sharded(sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runWordShadow(t, view, seedMix{}, boxed, words, RunOptions{}, decodeInts)
+		matchReference(t, view, seedMix{}, RunOptions{InputWords: words})
 	}
 }
 
@@ -207,11 +202,11 @@ func TestShardedHaltingSendDeliveredExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := net.Run(wordHaltSender{}, RunOptions{Delivery: DeliveryBatch})
+	flat, err := net.Run(haltSender{listen: 5}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := view.Run(wordHaltSender{}, RunOptions{Delivery: DeliveryBatch})
+	got, err := view.Run(haltSender{listen: 5}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,6 +352,6 @@ func TestShardedSendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantContained(t, "dist: node", func() (*Result, error) {
-		return view.Run(crossSender{}, RunOptions{Delivery: DeliveryBatch})
+		return view.Run(wideSender{}, RunOptions{})
 	})
 }

@@ -6,113 +6,31 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/graph"
 )
 
-// TestLegalColoringBatchShadowsBoxed is the pipeline-level shadow test:
-// the full Legal-Coloring stack (H-partition, partial orientation with
-// per-level defective recoloring, Simple-Arbdefective, final complete
-// orientation and wait-for-parents sweep) must produce bit-for-bit
-// identical colors, palettes, rounds and message counts on the columnar
-// batch transport and on the []any fallback.
-func TestLegalColoringBatchShadowsBoxed(t *testing.T) {
-	for _, a := range []int{2, 8, 16} {
-		s := Sizes{N: 1500, Seed: 1}
-		run := func(d dist.Delivery) *core.Result {
-			t.Helper()
-			g, net := s.forestNet(a, 9000+int64(a))
-			res, err := core.LegalColoring(net.WithDelivery(d), core.Config{Arboricity: a, P: 4})
-			if err != nil {
-				t.Fatalf("a=%d delivery=%v: %v", a, d, err)
-			}
-			if err := g.CheckLegalColoring(res.Colors); err != nil {
-				t.Fatalf("a=%d delivery=%v: %v", a, d, err)
-			}
-			return res
-		}
-		boxed := run(dist.DeliveryBoxed)
-		batch := run(dist.DeliveryBatch)
-		if !reflect.DeepEqual(boxed.Colors, batch.Colors) {
-			t.Errorf("a=%d: colors diverge between transports", a)
-		}
-		if boxed.Palette != batch.Palette || boxed.Iterations != batch.Iterations {
-			t.Errorf("a=%d: palette/iterations diverge: %d/%d vs %d/%d",
-				a, boxed.Palette, boxed.Iterations, batch.Palette, batch.Iterations)
-		}
-		if boxed.Tally.Rounds() != batch.Tally.Rounds() || boxed.Tally.Messages() != batch.Tally.Messages() {
-			t.Errorf("a=%d: rounds/messages diverge: %d/%d vs %d/%d", a,
-				boxed.Tally.Rounds(), boxed.Tally.Messages(), batch.Tally.Rounds(), batch.Tally.Messages())
-		}
-	}
-}
-
-// TestScaleRunShadow runs the scale harness at test size under both
-// transports and requires identical colorings and counters; it also
-// covers the generate -> WriteBinary -> OpenBinary round trip inside
-// scaleGraph.
-func TestScaleRunShadow(t *testing.T) {
-	base := ScaleOptions{N: 4000, Arboricity: 8, P: 4, Seed: 3, Dir: t.TempDir()}
-
-	batchOpt := base
-	batchOpt.Delivery = dist.DeliveryBatch
-	batch, err := ScaleRun(batchOpt)
+// TestScaleRunAllocBudget keeps the scale run GC-quiet: even at this
+// small n (where fixed per-run costs are amortized over few vertices)
+// the word columns stay far below one heap value per vertex per round.
+func TestScaleRunAllocBudget(t *testing.T) {
+	res, err := ScaleRun(ScaleOptions{N: 4000, Arboricity: 8, P: 4, Seed: 3, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxedOpt := base
-	boxedOpt.Delivery = dist.DeliveryBoxed
-	boxed, err := ScaleRun(boxedOpt)
-	if err != nil {
-		t.Fatal(err)
+	if !res.Record.OK {
+		t.Fatalf("illegal coloring: %s", res.Record.Note)
 	}
-
-	if !batch.Record.OK || !boxed.Record.OK {
-		t.Fatalf("scale runs not legal: batch=%v boxed=%v", batch.Record.OK, boxed.Record.OK)
+	if res.Record.Mallocs == 0 {
+		t.Error("scale record missing allocation accounting")
 	}
-	if !reflect.DeepEqual(batch.Colors, boxed.Colors) {
-		t.Error("scale colors diverge between transports")
-	}
-	for _, f := range []struct {
-		name string
-		a, b any
-	}{
-		{"colors", batch.Record.Colors, boxed.Record.Colors},
-		{"rounds", batch.Record.Rounds, boxed.Record.Rounds},
-		{"messages", batch.Record.Messages, boxed.Record.Messages},
-		{"palette", batch.Record.Measured, boxed.Record.Measured},
-		{"workload", batch.Record.Workload, boxed.Record.Workload},
-	} {
-		if !reflect.DeepEqual(f.a, f.b) {
-			t.Errorf("scale record %s diverges: %v vs %v", f.name, f.a, f.b)
-		}
-	}
-	if batch.Record.Delivery != "batch" || boxed.Record.Delivery != "boxed" {
-		t.Errorf("deliveries recorded as %q/%q", batch.Record.Delivery, boxed.Record.Delivery)
-	}
-	if batch.Record.Mallocs == 0 || boxed.Record.Mallocs == 0 {
-		t.Error("scale records missing allocation accounting")
-	}
-	// The typed word-I/O plane must keep the batch run GC-quiet: even at
-	// this small n (where fixed per-run costs are amortized over few
-	// vertices) the word path stays ~2 orders of magnitude below the
-	// boxed plane's ~70 allocs/vertex. A loose factor-10 bound catches
-	// any reintroduced per-vertex boxing without flaking on runtime
-	// noise.
-	if batch.Record.AllocsPerVertex <= 0 || boxed.Record.AllocsPerVertex <= 0 {
-		t.Error("scale records missing allocs_per_vertex")
-	}
-	budget := boxed.Record.AllocsPerVertex / 10
+	// The race runtime deliberately drops sync.Pool puts, so the pooled
+	// per-step scratch re-allocates a few times per vertex there.
+	budget := 7.0
 	if raceEnabled {
-		// The race runtime deliberately drops sync.Pool puts, so the
-		// pooled per-step scratch of the word plane re-allocates a few
-		// times per vertex regardless of boxing; bound it absolutely.
 		budget = 10
 	}
-	if batch.Record.AllocsPerVertex > budget {
-		t.Errorf("typed plane allocates %.2f allocs/vertex (budget %.2f, boxed %.2f) - word I/O regressed",
-			batch.Record.AllocsPerVertex, budget, boxed.Record.AllocsPerVertex)
+	if a := res.Record.AllocsPerVertex; a <= 0 || a > budget {
+		t.Errorf("%.2f allocs/vertex (budget %.0f)", a, budget)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Generators for the workload families used by the experiments. All take an
@@ -172,25 +173,24 @@ func StarForest(n, arb, hubs, hubDegree int, rng *rand.Rand) *Graph {
 // PowerLawish returns a preferential-attachment graph where each new vertex
 // attaches to k earlier vertices chosen proportionally to degree+1.
 // Such graphs have degeneracy <= k (hence arboricity <= k) and a heavy
-// degree tail, mimicking social-network workloads.
+// degree tail, mimicking social-network workloads. Each vertex's
+// attachment set is visited in sorted order, so one seed gives one graph.
 func PowerLawish(n, k int, rng *rand.Rand) *Graph {
 	b := NewBuilder(n)
 	// Repeated-endpoint list for proportional sampling.
 	endpoints := make([]int, 0, 2*n*k)
 	endpoints = append(endpoints, 0)
+	chosen := make([]int, 0, k)
 	for v := 1; v < n; v++ {
-		attach := k
-		if v < k {
-			attach = v
-		}
-		chosen := make(map[int]struct{}, attach)
-		for len(chosen) < attach {
+		chosen = chosen[:0]
+		for len(chosen) < min(k, v) {
 			u := endpoints[rng.Intn(len(endpoints))]
-			if u != v {
-				chosen[u] = struct{}{}
+			if u != v && !slices.Contains(chosen, u) {
+				chosen = append(chosen, u)
 			}
 		}
-		for u := range chosen {
+		slices.Sort(chosen)
+		for _, u := range chosen {
 			_ = b.AddEdge(v, u)
 			endpoints = append(endpoints, u)
 		}

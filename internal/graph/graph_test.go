@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -196,6 +197,18 @@ func TestStarForestRegime(t *testing.T) {
 	}
 	if ub := g.ArboricityUpperBound(); ub > 8 {
 		t.Errorf("StarForest degeneracy %d, want small", ub)
+	}
+}
+
+// TestPowerLawishDeterministic builds the graph twice from each seed:
+// the edge lists must be identical, in one process as in any other.
+func TestPowerLawishDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		a := PowerLawish(2000, 4, rand.New(rand.NewSource(seed)))
+		b := PowerLawish(2000, 4, rand.New(rand.NewSource(seed)))
+		if !reflect.DeepEqual(a.Edges(), b.Edges()) {
+			t.Fatalf("seed %d: two builds gave different edge lists", seed)
+		}
 	}
 }
 

@@ -182,8 +182,8 @@ func TestParentPortFlags(t *testing.T) {
 }
 
 func TestDefectiveOnLabelledSubgraphs(t *testing.T) {
-	// Two disjoint-label halves of a graph run simultaneously with their
-	// own degree bounds; defects must hold within each label class.
+	// Two disjoint-label halves of a graph, each run with its own degree
+	// bound; defects must hold within each label class.
 	rng := rand.New(rand.NewSource(104))
 	g := graph.RandomRegularish(200, 10, rng)
 	labels := make([]int, g.N())
@@ -203,22 +203,25 @@ func TestDefectiveOnLabelledSubgraphs(t *testing.T) {
 			degBound[labels[v]] = d
 		}
 	}
-	inputs := make([]any, g.N())
-	for v := 0; v < g.N(); v++ {
-		db := degBound[labels[v]]
-		inputs[v] = Input{Color: -1, M0: g.N(), DegBound: db, TargetDefect: db / 2}
-	}
-	// Heterogeneous per-vertex scalar inputs (a different DegBound per
-	// label class) only exist on the boxed plane; the word plane carries
-	// vertex-uniform Params in the algorithm value.
+	// Parameters are vertex-uniform within a run, so each label class
+	// runs on its own active mask with its own bound.
 	net := dist.NewNetwork(g)
-	res, err := net.Run(Algo{}, dist.RunOptions{Inputs: inputs, Labels: labels, Delivery: dist.DeliveryBoxed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	colors, err := dist.IntOutputs(res, -1)
-	if err != nil {
-		t.Fatal(err)
+	colors := make([]int, g.N())
+	for class, db := range degBound {
+		active := make([]bool, g.N())
+		for v := range active {
+			active[v] = labels[v] == class
+		}
+		dst := make([]int, g.N())
+		p := Params{Color: -1, M0: g.N(), DegBound: db, TargetDefect: db / 2}
+		if _, err := RunUniform(net, p, nil, labels, active, dst); err != nil {
+			t.Fatal(err)
+		}
+		for v := range dst {
+			if active[v] {
+				colors[v] = dst[v]
+			}
+		}
 	}
 	// Check defect within each label class only.
 	for v := 0; v < g.N(); v++ {

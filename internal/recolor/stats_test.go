@@ -65,11 +65,14 @@ func TestRecolorOnceCountsBatched(t *testing.T) {
 	}
 }
 
-// TestEvalStatsWordMatchesBoxed runs the same RunUniform workload on
-// both delivery planes with counting enabled: the hit/fallback totals
-// per (step, q, d) must be identical - evaluation counts are part of
-// the algorithm, not the transport - and exact under -race (atomic
-// counters across the worker pool).
+// TestEvalStatsWordMatchesBoxed runs the same RunUniform workload
+// sequentially on a flat network and on a 3-shard network with a pinned
+// worker pool, with counting enabled: the hit/fallback totals per
+// (step, q, d) must be identical - evaluation counts are part of the
+// algorithm, not the engine configuration - and exact under -race
+// (atomic counters across the worker pool). The name predates the
+// deletion of the boxed []any plane, which was the first configuration
+// compared.
 func TestEvalStatsWordMatchesBoxed(t *testing.T) {
 	defer func() {
 		field.SetEvalStats(false)
@@ -85,26 +88,35 @@ func TestEvalStatsWordMatchesBoxed(t *testing.T) {
 		t.Fatal("schedule degenerate; pick a sparser test graph")
 	}
 
-	snapshot := func(d dist.Delivery) []field.EvalStat {
+	snapshot := func(shards, workers int) []field.EvalStat {
 		field.SetEvalStats(true)
 		field.ResetEvalStats()
-		net := dist.NewNetworkPermuted(g, rand.New(rand.NewSource(7))).WithDelivery(d)
+		net := dist.NewNetworkPermuted(g, rand.New(rand.NewSource(7)))
+		if shards > 1 {
+			sh, err := graph.NewSharding(n, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if net, err = net.Sharded(sh); err != nil {
+				t.Fatal(err)
+			}
+		}
 		dst := make([]int, n)
-		if _, err := RunUniform(net, p, nil, nil, nil, dst); err != nil {
-			t.Fatalf("delivery=%v: %v", d, err)
+		if _, err := RunUniform(net.WithWorkers(workers), p, nil, nil, nil, dst); err != nil {
+			t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 		}
 		return field.EvalStatsSnapshot()
 	}
-	word := snapshot(dist.DeliveryBatch)
-	boxed := snapshot(dist.DeliveryBoxed)
-	if len(word) == 0 {
+	flat := snapshot(1, 1)
+	sharded := snapshot(3, 4)
+	if len(flat) == 0 {
 		t.Fatal("no counters registered on a counted run")
 	}
-	if !reflect.DeepEqual(word, boxed) {
-		t.Fatalf("eval stats diverge across planes:\nword  %+v\nboxed %+v", word, boxed)
+	if !reflect.DeepEqual(flat, sharded) {
+		t.Fatalf("eval stats diverge across engine configurations:\nflat    %+v\nsharded %+v", flat, sharded)
 	}
 	var total int64
-	for _, s := range word {
+	for _, s := range flat {
 		total += s.Total()
 	}
 	if total == 0 {
