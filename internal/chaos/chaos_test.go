@@ -325,45 +325,84 @@ func TestChaosSnapshotResume(t *testing.T) {
 	}
 }
 
-// TestChaosProbedResume pins the probed twin's resume accounting: with
-// a probe attached, a resumed run's round records carry message deltas
-// relative to the restored counters, and the per-round deltas of the
-// pre-kill and post-resume runs tile the uninterrupted totals exactly.
+// TestChaosProbedResume pins the probed run loop's resume accounting:
+// with a probe attached, a resumed run's round records carry message
+// deltas relative to the restored counters, so the per-round deltas of
+// the post-resume run add up to the uninterrupted total minus the
+// pre-kill run's messages. It runs on a flat and a 3-shard network.
 func TestChaosProbedResume(t *testing.T) {
 	n := 500
-	mk := waveNet(t, n)
-	ref, err := mk().Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			flat := waveNet(t, n)
+			mk := func() *dist.Network {
+				sh, err := graph.NewSharding(n, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := flat().Sharded(sh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return net
+			}
+			ref, err := mk().Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := 2
+			res, err := mk().Run(CleanWave(), dist.RunOptions{
+				InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
+			})
+			if !errors.Is(err, dist.ErrCanceled) || res.Snapshot == nil {
+				t.Fatalf("capture failed: %v", err)
+			}
+			sink := &roundSink{}
+			p := dist.NewProbe(sink)
+			resumed, err := mk().WithProbe(p).Resume(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)}, res.Snapshot)
+			if err != nil {
+				t.Fatalf("probed resume: %v", err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Rounds != ref.Rounds || resumed.Messages != ref.Messages {
+				t.Fatalf("probed resume diverges: rounds/messages %d/%d, want %d/%d",
+					resumed.Rounds, resumed.Messages, ref.Rounds, ref.Messages)
+			}
+			if sink.runs != 1 {
+				t.Fatalf("%d run records, want 1", sink.runs)
+			}
+			if sink.rounds != ref.Rounds-k {
+				t.Fatalf("%d round records for a resume of rounds %d..%d", sink.rounds, k+1, ref.Rounds)
+			}
+			if want := ref.Messages - res.Messages; sink.messages != want {
+				t.Fatalf("resumed round records carry %d messages, want %d (%d total - %d before the kill)",
+					sink.messages, want, ref.Messages, res.Messages)
+			}
+		})
 	}
-	k := 2
-	net := mk()
-	res, err := net.Run(CleanWave(), dist.RunOptions{
-		InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
-	})
-	if !errors.Is(err, dist.ErrCanceled) || res.Snapshot == nil {
-		t.Fatalf("capture failed: %v", err)
+}
+
+// roundSink tallies the round records, their messages and the run
+// records it receives. The probe flushes from one goroutine; read the
+// tallies only after Probe.Close.
+type roundSink struct {
+	rounds, runs int
+	messages     int64
+}
+
+func (s *roundSink) FlushRounds(recs []dist.RoundRecord) error {
+	s.rounds += len(recs)
+	for _, r := range recs {
+		s.messages += r.Messages
 	}
-	sink := &FailingSink{Accept: 1 << 30} // never fails; pure counter
-	p := dist.NewProbe(sink)
-	resumed, err := mk().WithProbe(p).Resume(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)}, res.Snapshot)
-	if err != nil {
-		t.Fatalf("probed resume: %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Rounds != ref.Rounds || resumed.Messages != ref.Messages {
-		t.Fatalf("probed resume diverges: rounds/messages %d/%d, want %d/%d",
-			resumed.Rounds, resumed.Messages, ref.Rounds, ref.Messages)
-	}
-	rounds, runs, _ := sink.Counts()
-	if runs != 1 {
-		t.Fatalf("%d run records, want 1", runs)
-	}
-	if rounds != ref.Rounds-k {
-		t.Fatalf("%d round records for a resume of rounds %d..%d", rounds, k+1, ref.Rounds)
-	}
+	return nil
+}
+
+func (s *roundSink) FlushRuns(recs []dist.RunRecord) error {
+	s.runs += len(recs)
+	return nil
 }
 
 // TestChaosFailingSink injects a sink fault mid-trace: the run itself

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -260,16 +261,33 @@ func (f flood) StepWords(n *Node, inbox WordInbox) {
 }
 
 // BenchmarkDeliveryBatch measures one Run of a 16-round one-word flood
-// over the columnar message transport.
+// over the columnar message transport, on the flat network and on
+// sharded views of it (which share the flat transport, so every input
+// should cost the same).
 func BenchmarkDeliveryBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.ForestUnion(4096, 4, rng)
-	net := NewNetworkPermuted(g, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Run(flood{rounds: 16}, RunOptions{}); err != nil {
+	flat := NewNetworkPermuted(g, rng)
+	bench := func(net *Network) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := net.Run(flood{rounds: 16}, RunOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("flat", bench(flat))
+	for _, k := range []int{1, 4} {
+		sh, err := graph.NewSharding(g.N(), k)
+		if err != nil {
 			b.Fatal(err)
 		}
+		net, err := flat.Sharded(sh)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("shards=%d", k), bench(net))
 	}
 }

@@ -396,14 +396,6 @@ type simulation struct {
 	width  int
 	wwords [2][]int64
 	wsent  [2][]uint8
-	// shWords/shSent are the per-shard column views of a sharded batch
-	// run (shard.go); nil on flat runs, where wwords/wsent serve.
-	shWords [2][][]int64
-	shSent  [2][][]uint8
-	// shIn is the per-parity sharded delivery bundle WordInbox points
-	// at (one pointer per inbox instead of three slice headers); bound
-	// alongside shWords/shSent in growShardColumns.
-	shIn   [2]shardCols
 	clearQ []int // nodes halted last round, flags pending a clear
 
 	// outCol is the run's output column (wordio.go); nil when the
@@ -474,14 +466,10 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 	// its flags at step start) or halted earlier and had them flushed
 	// (flushHaltClears) - so stale content from a previous run, even one
 	// with a different topology, is never observed.
-	if st := topo.shard; st != nil {
-		s.growShardColumns(rs, st, width)
-	} else {
-		for i := 0; i < 2; i++ {
-			rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
-			rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
-			s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
-		}
+	for i := 0; i < 2; i++ {
+		rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
+		rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
+		s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
 	}
 	s.clearQ = rs.clearQ[:0]
 	if ow != 0 {
@@ -520,40 +508,39 @@ func (s *simulation) close() {
 	s.net.sess.releaseRun(s.rs)
 }
 
-func (s *simulation) run() (*Result, error) {
-	// The probed twin (probe.go) carries the per-round timing and record
-	// emission; this single nil check is the disabled path's entire cost.
-	if s.net.probe != nil {
-		return s.runProbed()
-	}
+// run executes the round loop: round 0 (InitWords, skipped on resumed
+// runs) and then one StepWords round per iteration until every node has
+// halted, stopping early at a round boundary on a vertex failure, an
+// abort or an exhausted round budget. An attached probe (probe.go) is
+// the loop's one per-round hook: it times the round and emits its
+// record; its run record is staged before the scratch is released.
+func (s *simulation) run() (res *Result, err error) {
 	defer s.close()
-	rounds := s.startRound
-	if rounds == 0 && !s.resumed {
-		s.stepRound(0)
-		s.collectHalted(0)
-		if err := s.failSlot.take(); err != nil {
-			return s.result(0), err
-		}
-		if s.hasAbort {
-			if err := s.checkAbort(); err != nil {
-				return s.abortResult(0, err)
-			}
-		}
+	var tr tracer
+	if p := s.net.probe; p != nil {
+		tr.begin(s, p)
+		defer func() { tr.endRun(s, res, err) }()
+	}
+	first, rounds := 0, s.startRound
+	if s.resumed {
+		first = rounds + 1
 	}
 	budget := s.opts.MaxRounds
 	if budget == 0 {
 		budget = defaultMaxRounds
 	}
-	for r := rounds + 1; len(s.live) > 0; r++ {
+	for r := first; len(s.live) > 0; r++ {
 		if r > budget {
 			return nil, fmt.Errorf("dist: %d nodes still running after %d rounds: %w",
 				len(s.live), budget, ErrMaxRounds)
 		}
-		s.stepRound(r)
-		// Halting sends of round r-1 are delivered; drop the flags.
-		s.flushHaltClears()
+		if tr.p != nil && r > 0 {
+			tr.round(s, r)
+		} else {
+			cuts, w := s.workerCuts(len(s.live))
+			s.stepRound(r, cuts, w > 1, nil)
+		}
 		rounds = r
-		s.collectHalted(r)
 		if err := s.failSlot.take(); err != nil {
 			return s.result(rounds), err
 		}
@@ -609,7 +596,7 @@ func (s *simulation) result(rounds int) *Result {
 	return &Result{
 		OutputWords: s.outCol,
 		Rounds:      rounds,
-		Messages:    s.collectMessages(),
+		Messages:    s.messages(),
 		Wall:        time.Since(s.start), //distvet:wallclock Result.Wall is host-side observability, documented non-deterministic
 		PeakLive:    len(s.topo.live),
 	}
@@ -631,59 +618,122 @@ func (s *simulation) abortResult(rounds int, abortErr error) (*Result, error) {
 	return res, abortErr
 }
 
-// collectMessages sums the per-node send counters in one parallel sweep
-// (per-chunk partial sums, deterministically reduced).
-func (s *simulation) collectMessages() int64 {
-	n := s.net.g.N()
+// messages returns the run's message total so far: the send counters
+// summed over the worker chunks of the vertex range.
+func (s *simulation) messages() int64 {
+	n := len(s.nodes)
 	w := s.sweepWorkers(n)
-	if w <= 1 {
-		var msgs int64
-		for v := 0; v < n; v++ {
-			if nd := s.nodes[v]; nd != nil {
-				msgs += nd.sent
-			}
-		}
-		return msgs
-	}
-	s.rs.sums = grown(s.rs.sums, w)
-	sums := s.rs.sums
-	chunk := (n + w - 1) / w
-	parfor(n, w, func(lo, hi int) {
-		var msgs int64
-		for v := lo; v < hi; v++ {
-			if nd := s.nodes[v]; nd != nil {
-				msgs += nd.sent
-			}
-		}
-		sums[lo/chunk] = msgs
-	})
-	var msgs int64
-	for _, m := range sums[:(n+chunk-1)/chunk] {
-		msgs += m
-	}
-	return msgs
+	s.rs.cuts = chunkCuts(s.rs.cuts, n, w)
+	s.rs.sums = grown(s.rs.sums, len(s.rs.cuts)-1)
+	return s.sentSum(s.rs.cuts, s.rs.sums, w > 1)
 }
 
-// stepRound executes round r (round 0 = InitWords) on every live node. Nodes
-// touch only their own state, and message delivery reads the previous
-// round's buffers and between-round haltedAt marks, so the live set can
-// be split across workers without changing results. Long-tail rounds of
-// wave-style programs leave only a few live nodes; the auto heuristic
-// then steps inline, where the fan-out would cost more than it saves.
-func (s *simulation) stepRound(r int) {
-	m := len(s.live)
-	w := s.sweepWorkers(m)
-	if w <= 1 {
-		s.rs.curV = grown(s.rs.curV, 1)
-		s.stepSliceGuarded(r, 0, m, &s.rs.curV[0])
+// sentSum sums the per-node send counters over the vertex ranges
+// [cuts[j], cuts[j+1]), storing range j's subtotal in sums[j] and
+// returning the total. With fan, every range is summed on its own
+// goroutine; the subtotals reduce in range order either way.
+func (s *simulation) sentSum(cuts []int, sums []int64, fan bool) int64 {
+	k := len(cuts) - 1
+	wg := &s.rs.wg
+	for j := 0; j < k; j++ {
+		if !fan {
+			sums[j] = s.sentIn(cuts[j], cuts[j+1])
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int, out *int64) {
+			defer wg.Done()
+			*out = s.sentIn(lo, hi)
+		}(cuts[j], cuts[j+1], &sums[j])
+	}
+	wg.Wait()
+	var total int64
+	for _, t := range sums[:k] {
+		total += t
+	}
+	return total
+}
+
+// sentIn sums the send counters of the vertices [lo, hi).
+func (s *simulation) sentIn(lo, hi int) int64 {
+	var t int64
+	for _, nd := range s.nodes[lo:hi] {
+		if nd != nil {
+			t += nd.sent
+		}
+	}
+	return t
+}
+
+// workerCuts returns the worker chunks of a step sweep over m live
+// nodes and the worker count w: one chunk when w is 1, else one per
+// worker.
+func (s *simulation) workerCuts(m int) (cuts []int, w int) {
+	w = s.sweepWorkers(m)
+	s.rs.cuts = chunkCuts(s.rs.cuts, m, w)
+	return s.rs.cuts, w
+}
+
+// chunkCuts writes into buf the bounds of parfor's split of [0, m)
+// across w workers: chunk c is [cuts[c], cuts[c+1]).
+func chunkCuts(buf []int, m, w int) []int {
+	buf = buf[:0]
+	for lo, chunk := 0, (m+w-1)/w; lo < m; lo += chunk {
+		buf = append(buf, lo)
+	}
+	return append(buf, m)
+}
+
+// stepRound executes round r (round 0 = InitWords): it steps the live
+// list in the chunks live[cuts[c]:cuts[c+1]] - worker chunks, or shard
+// segments on probed sharded runs - then drops the halt flags of senders
+// whose final messages this round delivered and prunes the nodes that
+// halted. Nodes touch only their own state, and delivery reads the
+// previous round's buffers and between-round haltedAt marks, so any
+// split of the live list yields the same results. With fan every
+// nonempty chunk steps on its own goroutine; long-tail rounds of
+// wave-style programs leave few live nodes, and the auto heuristic then
+// steps inline. ns, when non-nil, receives each chunk's step wall time.
+func (s *simulation) stepRound(r int, cuts []int, fan bool, ns []int64) {
+	chunks := len(cuts) - 1
+	s.rs.curV = grown(s.rs.curV, chunks)
+	wg := &s.rs.wg
+	for c := 0; c < chunks; c++ {
+		lo, hi := cuts[c], cuts[c+1]
+		if lo == hi {
+			continue
+		}
+		var wall *int64
+		if ns != nil {
+			wall = &ns[c]
+		}
+		if !fan {
+			s.stepChunk(r, lo, hi, &s.rs.curV[c], wall)
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int, cur *int, wall *int64) {
+			defer wg.Done()
+			s.stepChunk(r, lo, hi, cur, wall)
+		}(lo, hi, &s.rs.curV[c], wall)
+	}
+	wg.Wait()
+	s.flushHaltClears()
+	s.collectHalted(r)
+}
+
+// stepChunk steps live[lo:hi] under the panic guard with the chunk's
+// cursor cur, timing it into *wall for the probe when wall is non-nil.
+//
+//distvet:wallclock chunk timing feeds only the probe's documented non-deterministic chunk wall fields
+func (s *simulation) stepChunk(r, lo, hi int, cur *int, wall *int64) {
+	if wall == nil {
+		s.stepSliceGuarded(r, lo, hi, cur)
 		return
 	}
-	chunk := (m + w - 1) / w
-	s.rs.curV = grown(s.rs.curV, (m+chunk-1)/chunk)
-	cur := s.rs.curV
-	parfor(m, w, func(lo, hi int) {
-		s.stepSliceGuarded(r, lo, hi, &cur[lo/chunk])
-	})
+	t := time.Now()
+	s.stepSliceGuarded(r, lo, hi, cur)
+	*wall = time.Since(t).Nanoseconds()
 }
 
 // stepSliceGuarded runs stepSlice under the panic guard: a panic out of
@@ -735,15 +785,10 @@ func (s *simulation) recoverStep(r, lo, hi int, cur *int) {
 // columns are the pooled, intentionally non-zeroed arrays of the run
 // scratch - every flag a WordInbox reads was cleared this run by its
 // owner's step (clear(nd.wmark) below) or by flushHaltClears, so stale
-// content from earlier runs is never observed. Sharded runs take the
-// shard-local twin (shard.go).
+// content from earlier runs is never observed.
 //
 //distvet:noalloc
 func (s *simulation) stepSlice(r, lo, hi int, cur *int) {
-	if s.topo.shard != nil {
-		s.stepSliceSharded(r, lo, hi, cur)
-		return
-	}
 	w := s.width
 	par := r % 2
 	words := s.wwords[par]
@@ -818,9 +863,8 @@ func (s *simulation) collectHalted(r int) {
 	parfor(m, w, func(lo, hi int) {
 		c := lo / chunk
 		ko := starts[c]
-		// Halted nodes of chunk c land after the halted nodes of earlier
-		// chunks: chunk c dropped (lo - starts[c]) of its predecessors'
-		// entries... i.e. lo-starts[c] halted so far before this chunk.
+		// The lo entries before chunk c kept starts[c] nodes, so the other
+		// lo-starts[c] halted and precede this chunk's halts in clearQ.
 		ho := clearBase + (lo - starts[c])
 		for i := lo; i < hi; i++ {
 			v := s.live[i]

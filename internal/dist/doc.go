@@ -91,34 +91,27 @@
 //
 // # Sharded execution
 //
-// Network.Sharded(sh) returns a view running the shard-structured
-// engine: the vertex space is partitioned into graph.Sharding's
-// contiguous shards and the message columns become
-// shard-local (shard.go). Ownership and delivery contract:
+// Network.Sharded(sh) returns a view over graph.Sharding's partition of
+// the vertex space into contiguous shards (shard.go). A sharding is a
+// vertex partition over the one flat data plane, not a second layout:
 //
-//   - Column ownership is by SENDER shard: the word a vertex u sends on
-//     a port lives in the column of u's shard, at the shard-local slot
-//     base[u] - slotCuts[shard(u)] + rank. A step writes only its own
-//     vertex's slots in its own shard's column, so shard segments can
-//     step concurrently without sharing cache lines across shards.
-//   - Cross-shard delivery is by boundary table: for each visible port
-//     the topology stores the shard-local slot plus a one-byte sending-
-//     shard index (inShard), and a receiver resolves a word by indexing
-//     the sender shard's previous-parity column directly. There is no
-//     copy step - "exchange" between shards is the read itself, which
-//     touches only previous-round columns.
-//   - Previous-parity columns are immutable during a step (the same
-//     double-buffered round-parity rule as the flat transport), which
-//     is what makes the cross-shard read safe under any worker count.
-//   - Sharding is observationally inert: colors, rounds and message
-//     counts are bit-for-bit identical at every shard count (golden and
-//     reference tests pin this); only WHERE a message word lives changes.
-//     Probed sharded runs additionally record per-shard live counts,
-//     message counts and step wall time per round (ShardRoundStat).
+//   - Shard k's vertices own the contiguous slot range of the flat
+//     message columns that their ascending (vertex, port) slots form, so
+//     a shard is a segment of the flat layout. Delivery, halt-flag
+//     flushes and snapshots are the flat engine's, at every shard count.
+//   - Unprobed runs on a sharded view are flat runs: the step sweep
+//     splits the live list into worker chunks.
+//   - Probed runs on a view of k >= 2 shards step each shard's segment
+//     of the live list as one chunk - inline, or one goroutine per
+//     nonempty segment when the run fans out - and record per-shard
+//     live counts, message counts and step wall time per round
+//     (ShardRoundStat). Any split of the live list steps identically,
+//     so colors, rounds and message counts are bit-for-bit the same at
+//     every shard count (golden and reference tests pin this).
 //
-// A Sharded view gets a fresh session, so one session never caches two
-// shard layouts; count 1 (or a zero Sharding) normalizes to the flat
-// engine. The streaming loader graph.OpenBinaryShards pairs with this:
+// A Sharded view gets a fresh session, so every point of a shard sweep
+// starts from cold caches; count 1 (or a zero Sharding) is the flat
+// network. The streaming loader graph.OpenBinaryShards pairs with this:
 // it materializes the CSR per shard so peak load memory is bounded by
 // one shard's adjacency instead of the whole edge list.
 //
@@ -142,8 +135,9 @@
 //     bit-for-bit identical colors, rounds and messages, and every
 //     record field except the wall-clock timings (WallNS, chunk
 //     times, SetupNS/ComputeNS) is deterministic across worker
-//     counts. A nil or absent probe costs the round loop one nil
-//     check (BenchmarkRunProbeOff/On pins this).
+//     counts. The probe is the round loop's one per-round hook: a nil
+//     or absent probe costs one nil check per round, no per-vertex
+//     work (BenchmarkRunProbeOff/On pins this).
 //   - Records only cover rounds 1..Result.Rounds; InitWords' messages
 //     fold into the first round's record, and a run that halts at
 //     InitWords emits a RunRecord but no RoundRecords.
@@ -189,10 +183,9 @@
 //     capture verifies this and refuses
 //     otherwise), they serialize to a versioned binary framing (WriteTo /
 //     ReadSnapshot, "DSN1") that rejects truncation and trailing bytes,
-//     and they are portable across shard counts: columns are normalized
-//     to the flat global slot layout on capture and re-localized on
-//     resume. A Snapshot is owned by the caller; the engine never retains
-//     it after Resume.
+//     and they are portable across shard counts, which all share the one
+//     flat column layout. A Snapshot is owned by the caller; the engine
+//     never retains it after Resume.
 //
 // The deterministic fault-injection matrix over these guarantees lives in
 // internal/chaos: seeded panics at chosen (vertex, round) steps, cancels
@@ -212,7 +205,7 @@
 //     everything those reads feed is documented non-deterministic.
 //   - //distvet:noalloc - in a function's doc comment: the function is
 //     on the per-vertex hot path and must contain no allocating
-//     constructs. The round loops (stepSlice and its sharded twin,
+//     constructs. The round loop (stepSlice, stepSliceGuarded,
 //     flushHaltClears), the word-column Node accessors, and every
 //     InitWords/StepWords implementation carry it. cmd/escapecheck
 //     additionally pins the compiler's escape picture of these

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -10,9 +11,9 @@ import (
 // a Network view carries into its Runs. When attached, the run loop emits
 // one fixed-width RoundRecord per communication round and one RunRecord
 // per Run, buffered in a preallocated ring and flushed to a ProbeSink off
-// the round loop. With no probe attached the engine takes the plain run
-// loop, whose only extra cost is a single nil check per Run - a benchmark
-// pins the disabled-path overhead at ~0.
+// the round loop. The probe is the run loop's one per-round hook
+// (tracer below); with no probe attached its only cost is a nil check
+// per round - a benchmark pins the disabled-path overhead at ~0.
 //
 // Determinism. Everything in a record except the wall-clock and fan-out
 // fields (WallNS, MaxChunkNS, MeanChunkNS, SetupNS, ComputeNS, Workers)
@@ -346,206 +347,128 @@ func (net *Network) WithProbe(p *Probe) *Network {
 // checking.
 func (net *Network) Probe() *Probe { return net.probe }
 
-// runProbed is the traced twin of simulation.run: identical engine
-// semantics (same step / flush / collect order), plus per-round timing
-// and record emission. Keeping it separate leaves the disabled path
-// untouched.
-//
-//distvet:wallclock the probed twin exists to measure rounds; every wall field it feeds is documented non-deterministic
-func (s *simulation) runProbed() (*Result, error) {
-	defer s.close()
-	p := s.net.probe
-	seq, phase := p.beginRun()
-	s.phase = phase
-	compute := time.Now()
-	// fail ends the run early at a round boundary: vertex failures (and
-	// recovered panics) report the partial Result alongside the error;
-	// abort wraps the same path with the optional snapshot capture.
-	fail := func(rounds int, err error) (*Result, error) {
-		res := s.result(rounds)
-		s.emitRun(p, seq, phase, rounds, res.Messages, time.Since(compute), err)
-		return res, err
-	}
-	abort := func(rounds int, err error) (*Result, error) {
-		res, aerr := s.abortResult(rounds, err)
-		s.emitRun(p, seq, phase, rounds, res.Messages, time.Since(compute), aerr)
-		return res, aerr
-	}
-	rounds := s.startRound
-	if rounds == 0 && !s.resumed {
-		s.stepRound(0)
-		s.collectHalted(0)
-		if err := s.failSlot.take(); err != nil {
-			return fail(0, err)
-		}
-		if s.hasAbort {
-			if err := s.checkAbort(); err != nil {
-				return abort(0, err)
-			}
-		}
-	}
-	budget := s.opts.MaxRounds
-	if budget == 0 {
-		budget = defaultMaxRounds
-	}
-	var prevSent int64
-	// Sharded runs carry per-shard round telemetry: the step is timed
-	// shard-segment by shard-segment (stepRoundShardTimed) and the send
-	// counters are summed per shard, so every record's Shards slice
-	// reports live/messages/wall per shard. The buffers come from the
-	// pooled scratch; only the per-record slices allocate.
-	st := s.topo.shard
-	var segs []int
-	var shardNS, shardCum, shardPrev []int64
-	if st != nil {
-		k := st.k()
-		s.rs.shardSegs = grown(s.rs.shardSegs, k+1)
-		s.rs.shardNS = grown(s.rs.shardNS, k)
-		s.rs.shardCum = grown(s.rs.shardCum, k)
-		s.rs.shardPrev = grown(s.rs.shardPrev, k)
-		segs, shardNS = s.rs.shardSegs, s.rs.shardNS
-		shardCum, shardPrev = s.rs.shardCum, s.rs.shardPrev
-		clear(shardPrev)
-	}
-	if s.resumed {
-		// Resumed run: the restored send counters include every pre-kill
-		// send, so the per-round message deltas must start from them.
-		if st != nil {
-			prevSent = s.sentTotalShards(st, shardPrev)
-		} else {
-			prevSent = s.sentTotal()
-		}
-	}
-	for r := rounds + 1; len(s.live) > 0; r++ {
-		if r > budget {
-			err := fmt.Errorf("dist: %d nodes still running after %d rounds: %w",
-				len(s.live), budget, ErrMaxRounds)
-			s.emitRun(p, seq, phase, 0, 0, time.Since(compute), err)
-			return nil, err
-		}
-		live := len(s.live)
-		roundStart := time.Now()
-		var w int
-		var maxNS, meanNS int64
-		if st != nil {
-			s.liveShardSegs(st, segs)
-			w, maxNS, meanNS = s.stepRoundShardTimed(r, st, segs, shardNS)
-		} else {
-			w, maxNS, meanNS = s.stepRoundTimed(r)
-		}
-		s.flushHaltClears()
-		rounds = r
-		s.collectHalted(r)
-		wall := time.Since(roundStart)
-		var cum int64
-		var shardStats []ShardRoundStat
-		if st != nil {
-			cum = s.sentTotalShards(st, shardCum)
-			shardStats = make([]ShardRoundStat, st.k())
-			for j := range shardStats {
-				shardStats[j] = ShardRoundStat{
-					Live:     segs[j+1] - segs[j],
-					Messages: shardCum[j] - shardPrev[j],
-					WallNS:   shardNS[j],
-				}
-			}
-			copy(shardPrev, shardCum)
-		} else {
-			cum = s.sentTotal()
-		}
-		p.round(RoundRecord{
-			Run:         seq,
-			Round:       r,
-			Live:        live,
-			Messages:    cum - prevSent,
-			Workers:     w,
-			WallNS:      wall.Nanoseconds(),
-			MaxChunkNS:  maxNS,
-			MeanChunkNS: meanNS,
-			Shards:      shardStats,
-		})
-		prevSent = cum
-		if err := s.failSlot.take(); err != nil {
-			return fail(rounds, err)
-		}
-		if s.hasAbort {
-			if err := s.checkAbort(); err != nil {
-				return abort(rounds, err)
-			}
-		}
-	}
-	res := s.result(rounds)
-	s.emitRun(p, seq, phase, rounds, res.Messages, time.Since(compute), nil)
-	return res, nil
+// tracer is the probe-side state of one traced run: the run's sequence
+// number and phase, its compute clock, and the send counters the next
+// round record diffs against. It lives on run's stack; its buffers come
+// from the pooled run scratch, so a traced round allocates only the
+// per-shard stats of a sharded record.
+type tracer struct {
+	p       *Probe
+	seq     int64
+	phase   string
+	compute time.Time
+	// sent is the cumulative send total at the last round boundary.
+	sent int64
+	// shards is the shard count of a sharded view (0 on flat runs);
+	// cuts are the shards' vertex ranges ([0, n] on flat runs), cum and
+	// prev their cumulative send counters now and at the last boundary.
+	shards    int
+	cuts      []int
+	cum, prev []int64
 }
 
-// emitRun assembles and stages the run record.
-func (s *simulation) emitRun(p *Probe, seq int64, phase string, rounds int, msgs int64, compute time.Duration, err error) {
+// begin starts tracing run s on probe p.
+//
+//distvet:wallclock the compute clock feeds RunRecord.ComputeNS, documented non-deterministic
+func (t *tracer) begin(s *simulation, p *Probe) {
+	t.p = p
+	t.seq, t.phase = p.beginRun()
+	s.phase = t.phase
+	t.compute = time.Now()
+	k := 1
+	if sh := s.net.sharding; sh.NumShards() > 1 {
+		k = sh.NumShards()
+		t.shards = k
+	}
+	rs := s.rs
+	rs.shardCuts = grown(rs.shardCuts, k+1)
+	rs.shardCum = grown(rs.shardCum, k)
+	rs.shardPrev = grown(rs.shardPrev, k)
+	t.cuts, t.cum, t.prev = rs.shardCuts, rs.shardCum, rs.shardPrev
+	t.cuts[0], t.cuts[k] = 0, len(s.nodes)
+	for j := 1; j < k; j++ {
+		t.cuts[j], _ = s.net.sharding.Bounds(j)
+	}
+	// A resumed run's restored counters include every pre-kill send, so
+	// its first round's message delta starts from them.
+	clear(t.prev)
+	if s.resumed {
+		t.sent = s.sentSum(t.cuts, t.prev, false)
+	}
+}
+
+// round executes round r of run s as a traced round: the step is timed
+// per chunk (per shard segment on sharded runs), and the round's record
+// carries its live count, message delta and wall times.
+//
+//distvet:wallclock round timing feeds only the documented non-deterministic wall fields
+func (t *tracer) round(s *simulation, r int) {
+	start := time.Now()
+	live := len(s.live)
+	cuts, w := s.workerCuts(live)
+	if t.shards > 0 {
+		cuts = t.liveSegs(s)
+	}
+	chunks := len(cuts) - 1
+	s.rs.chunkNS = grown(s.rs.chunkNS, chunks)
+	ns := s.rs.chunkNS
+	clear(ns)
+	s.stepRound(r, cuts, w > 1, ns)
+	rec := RoundRecord{Run: t.seq, Round: r, Live: live, Workers: w, WallNS: time.Since(start).Nanoseconds()}
+	var sum int64
+	nonempty := 0
+	for c := 0; c < chunks; c++ {
+		if cuts[c] < cuts[c+1] {
+			nonempty++
+			sum += ns[c]
+			rec.MaxChunkNS = max(rec.MaxChunkNS, ns[c])
+		}
+	}
+	rec.MeanChunkNS = sum / int64(nonempty)
+	cum := s.sentSum(t.cuts, t.cum, false)
+	rec.Messages, t.sent = cum-t.sent, cum
+	if t.shards > 0 {
+		rec.Shards = make([]ShardRoundStat, t.shards)
+		for j := range rec.Shards {
+			rec.Shards[j] = ShardRoundStat{Live: cuts[j+1] - cuts[j], Messages: t.cum[j] - t.prev[j], WallNS: ns[j]}
+		}
+		copy(t.prev, t.cum)
+	}
+	t.p.round(rec)
+}
+
+// liveSegs returns the shard segmentation of the (ascending) live list:
+// shard j's live nodes are live[segs[j]:segs[j+1]].
+func (t *tracer) liveSegs(s *simulation) []int {
+	segs := append(s.rs.cuts[:0], 0)
+	for j := 1; j <= t.shards; j++ {
+		segs = append(segs, segs[j-1]+sort.SearchInts(s.live[segs[j-1]:], t.cuts[j]))
+	}
+	s.rs.cuts = segs
+	return segs
+}
+
+// endRun stages the run record of the finished run; res is nil when the
+// round budget tripped.
+//
+//distvet:wallclock the compute clock feeds RunRecord.ComputeNS, documented non-deterministic
+func (t *tracer) endRun(s *simulation, res *Result, err error) {
 	rec := RunRecord{
-		Run:           seq,
-		Phase:         phase,
-		Rounds:        rounds,
-		Messages:      msgs,
+		Run:           t.seq,
+		Phase:         t.phase,
 		PeakLive:      len(s.topo.live),
 		Workers:       s.workers,
 		TopoCached:    s.topoCached,
 		ScratchPooled: s.scratchPooled,
+		Shards:        t.shards,
 		SetupNS:       s.setupNS,
-		ComputeNS:     compute.Nanoseconds(),
+		ComputeNS:     time.Since(t.compute).Nanoseconds(),
 	}
-	if st := s.topo.shard; st != nil {
-		rec.Shards = st.k()
+	if res != nil {
+		rec.Rounds, rec.Messages = res.Rounds, res.Messages
 	}
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	p.endRun(rec)
-}
-
-// stepRoundTimed is stepRound with per-chunk wall measurement; it
-// reports the fan-out used and the max/mean per-chunk step time.
-//
-//distvet:wallclock per-chunk step timing is this function's purpose; only non-deterministic wall telemetry depends on it
-func (s *simulation) stepRoundTimed(r int) (workers int, maxNS, meanNS int64) {
-	m := len(s.live)
-	w := s.sweepWorkers(m)
-	if w <= 1 {
-		s.rs.curV = grown(s.rs.curV, 1)
-		t := time.Now()
-		s.stepSliceGuarded(r, 0, m, &s.rs.curV[0])
-		d := time.Since(t).Nanoseconds()
-		return 1, d, d
-	}
-	chunk := (m + w - 1) / w
-	chunks := (m + chunk - 1) / chunk
-	s.rs.chunkNS = grown(s.rs.chunkNS, chunks)
-	s.rs.curV = grown(s.rs.curV, chunks)
-	ns := s.rs.chunkNS
-	cur := s.rs.curV
-	parfor(m, w, func(lo, hi int) {
-		t := time.Now()
-		s.stepSliceGuarded(r, lo, hi, &cur[lo/chunk])
-		ns[lo/chunk] = time.Since(t).Nanoseconds()
-	})
-	var sum int64
-	for _, d := range ns[:chunks] {
-		if d > maxNS {
-			maxNS = d
-		}
-		sum += d
-	}
-	return w, maxNS, sum / int64(chunks)
-}
-
-// sentTotal sums the cumulative per-node send counters. It runs once per
-// round on the probed path only; the plain path keeps its single
-// end-of-run collection sweep.
-func (s *simulation) sentTotal() int64 {
-	var total int64
-	for _, nd := range s.nodes {
-		if nd != nil {
-			total += nd.sent
-		}
-	}
-	return total
+	t.p.endRun(rec)
 }

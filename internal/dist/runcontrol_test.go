@@ -275,8 +275,8 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestPanicContainmentSharded runs the same containment checks under
-// the shard-structured engine.
+// TestPanicContainmentSharded runs the same containment checks on a
+// sharded view.
 func TestPanicContainmentSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.ForestUnion(900, 3, rng)

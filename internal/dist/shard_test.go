@@ -8,8 +8,8 @@ import (
 	"repro/internal/graph"
 )
 
-// The shard suite pins the shard-structured engine (shard.go) to the
-// flat engine bit-for-bit, the way the worker-count tests pin parallel
+// The shard suite pins sharded views (shard.go) to the flat network
+// bit-for-bit, the way the worker-count tests pin parallel
 // execution: the same program over the same network must yield
 // identical Results at every shard count, under filters, and across
 // pooled-scratch reuse - and the flat run must match the reference

@@ -10,16 +10,17 @@ import (
 )
 
 // Vertex sharding: a partition of [0, n) into contiguous ranges, the unit
-// in which the shard-structured engine (internal/dist) owns topology and
-// message columns and in which ReadBinaryShards materializes CSR storage.
-// Contiguity is load-bearing twice over: the engine maps a vertex to its
-// shard with one table read and a slot to its column with one precomputed
-// byte, and the streaming loader fills each shard's backing array with
-// plain appends because adjacency entries of one shard never interleave
-// with another's allocation.
+// in which the engine (internal/dist) reports per-shard round telemetry
+// and in which ReadBinaryShards materializes CSR storage. Contiguity is
+// load-bearing twice over: a shard's vertices are one segment of the
+// engine's ascending live list and own one contiguous range of its flat
+// message columns, and the streaming loader fills each shard's backing
+// array with plain appends because adjacency entries of one shard never
+// interleave with another's allocation.
 
-// MaxShards caps the shard count so per-slot shard indices fit in a byte
-// (the engine's boundary tables store one uint8 per delivery slot).
+// MaxShards caps the shard count. It bounds the fan-out of probed
+// sharded engine rounds, which step every shard's segment on its own
+// goroutine; distcolor and AutoSharding clamp to it.
 const MaxShards = 256
 
 // Sharding partitions the vertices [0, n) into NumShards contiguous
@@ -271,7 +272,7 @@ func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 		backing := make([]int, total)
 		off := 0
 		for v := lo; v < hi; v++ {
-			adj[v] = backing[off:off : off+int(deg[v])]
+			adj[v] = backing[off : off : off+int(deg[v])]
 			off += int(deg[v])
 		}
 	}
