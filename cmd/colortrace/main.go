@@ -1,11 +1,12 @@
 // Colortrace summarizes a round-level JSONL trace recorded by
 // `colorbench -scale -trace out.jsonl`: a per-phase table (engine runs,
 // rounds, messages per round, wall and setup time, live-set decay,
-// step-sweep imbalance, session cache hits), a per-shard table when the
-// trace carries sharded-run telemetry (peak live, messages and step-wall
-// share per shard - the imbalance view of a sharded engine), and the
-// field-evaluation hit-rate table when the trace carries an "evals"
-// snapshot.
+// stepped vs. live node-rounds - the gap is the steps skipped for
+// sleeping nodes -, step-sweep imbalance, session cache hits), a
+// per-shard table when the trace carries sharded-run telemetry (peak
+// live, messages and step-wall share per shard - the imbalance view of
+// a sharded engine), and the field-evaluation hit-rate table when the
+// trace carries an "evals" snapshot.
 //
 // Usage:
 //

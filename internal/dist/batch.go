@@ -1,6 +1,9 @@
 package dist
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // This file implements the message transport: every message is a fixed
 // number of int64 words (Algorithm.MessageWords), exchanged through two
@@ -19,11 +22,23 @@ import "fmt"
 // WordInbox is a node's inbox: a by-value view of the previous round's
 // word column restricted to the node's visible ports. Port p of the
 // inbox is the node's visible port p.
+//
+// The inbox is seven machine words, so the StepWords interface call
+// passes it in registers: the sent flags and the per-port slots are
+// inline (Has touches nothing else), while the column's width and words
+// sit behind a pointer to the simulation's descriptor for that round
+// parity (one per run and parity, never one per node or chunk).
 type WordInbox struct {
+	col   *inboxCol // previous parity's word column
+	sent  []uint8   // previous parity's sent flags, one per slot
+	slots []int32   // per-port slot of the sending neighbor
+}
+
+// inboxCol describes one round parity's word column for the inboxes that
+// read it: W words per slot.
+type inboxCol struct {
 	width int
-	words []int64 // previous parity's full word column
-	sent  []uint8 // previous parity's sent flags, one per slot
-	slots []int32 // per-port slot of the sending neighbor
+	words []int64
 }
 
 // Ports returns the number of visible ports (the node's degree).
@@ -37,15 +52,17 @@ func (in WordInbox) Has(p int) bool {
 // Word returns the first word of port p's message. Meaningful only when
 // Has(p); the value is unspecified otherwise.
 func (in WordInbox) Word(p int) int64 {
-	return in.words[int(in.slots[p])*in.width]
+	c := in.col
+	return c.words[int(in.slots[p])*c.width]
 }
 
 // Words returns the full W-word message on port p as a view into the
 // engine's column. The slice is valid only during the current StepWords
 // call and must not be retained or written.
 func (in WordInbox) Words(p int) []int64 {
-	s := int(in.slots[p]) * in.width
-	return in.words[s : s+in.width : s+in.width]
+	c := in.col
+	s := int(in.slots[p]) * c.width
+	return c.words[s : s+c.width : s+c.width]
 }
 
 // SendWords marks the given visible port as sending this round and
@@ -115,4 +132,84 @@ func (s *simulation) flushHaltClears() {
 		clear(s.wsent[1][b : b+deg])
 	}
 	s.clearQ = s.clearQ[:0]
+}
+
+// Sleep scheduling. A node that calls Sleep in round r is skipped from
+// round r+1 on until a round that delivers it a message. Senders stamp
+// the receiver's wake column, so a sleeper steps in round r exactly
+// when some neighbor sent to it in round r-1, whatever order the round's
+// steps run in: whether a node steps is the same at every worker count.
+// Stamping starts at the round boundary after the run's first Sleep, so
+// runs in which no node sleeps never stamp, and a node that fell asleep
+// before then steps once more (an unstamped message may be waiting for
+// it).
+//
+// A stamp is 2d+b: d is the latest delivery round of a message sent to
+// the node and b is 1 when round d-1 delivered one too. Senders of
+// round r stamp d = r+1 while a sleeper checks for delivery round r, so
+// b keeps the answer after a sender of the same round has moved d on.
+
+// Sleep states (simulation.sleep). A skipped node clears its own sent
+// flags in its first two skipped rounds - the rounds in which a step
+// would have cleared them - and is then clean in both parities.
+const (
+	awake      = iota // steps every round
+	asleep            // fell asleep last round
+	asleepOnce        // skipped one round
+	sleepClean        // skipped two rounds or more: no flags left
+)
+
+// startStamping turns on wake stamping at a round boundary, over a
+// zeroed wake column: no round of this run is stamped yet.
+func (s *simulation) startStamping() {
+	s.rs.wake = grown(s.rs.wake, len(s.nodes))
+	s.wake = s.rs.wake
+	clear(s.wake)
+}
+
+// stampWake stamps delivery round d on every receiver the sender marked
+// this round. Concurrent senders to one receiver race only on the
+// compare-and-swap; the first one moves the stamp, the rest find it
+// done.
+//
+//distvet:noalloc
+func stampWake(wake []atomic.Int32, ports []int, marks []uint8, d int32) {
+	for p, m := range marks {
+		if m == 0 {
+			continue
+		}
+		w := &wake[ports[p]]
+		for {
+			old := w.Load()
+			last := old >> 1
+			stamp := d << 1
+			if last == d-1 {
+				stamp |= 1
+			}
+			if last >= d || w.CompareAndSwap(old, stamp) {
+				break
+			}
+		}
+	}
+}
+
+// woken reports whether sleeping node v has a message in round r, that
+// is, whether round r is the stamp's delivery round or, once a sender of
+// round r has stamped r+1, the one before it.
+func (s *simulation) woken(v, r int) bool {
+	w := s.wake[v].Load()
+	switch int(w >> 1) {
+	case r:
+		return true
+	case r + 1:
+		return w&1 != 0
+	}
+	return false
+}
+
+// skipSleeper clears the sent flags a skipped node left in this round's
+// parity (cur), as its step would have.
+func (s *simulation) skipSleeper(v int, cur []uint8) {
+	b := s.topo.base[v]
+	clear(cur[b : b+len(s.topo.ports[v])])
 }

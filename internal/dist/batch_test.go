@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -88,6 +89,16 @@ func (t tripleTag) StepWords(n *Node, inbox WordInbox) {
 
 // The TestBatchMatchesBoxed* names predate the reference engine: the
 // boxed []any transport was their oracle before it was deleted.
+
+// TestWordInboxFitsRegisters pins the inbox's size: the StepWords
+// interface call passes the receiver, the node and the inbox, and Go's
+// register ABI has nine integer argument registers, so an inbox wider
+// than seven words would be copied through the stack on every step.
+func TestWordInboxFitsRegisters(t *testing.T) {
+	if got, limit := unsafe.Sizeof(WordInbox{}), 7*unsafe.Sizeof(uintptr(0)); got > limit {
+		t.Fatalf("WordInbox is %d bytes, more than the %d that StepWords passes in registers", got, limit)
+	}
+}
 
 func TestBatchMatchesBoxedOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {

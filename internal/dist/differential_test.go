@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -488,6 +489,233 @@ func TestReferenceColorWithin(t *testing.T) {
 				}
 				return summary{res.Colors, res.Palette, cost{res.Tally.Rounds(), res.Tally.Messages()}}, nil
 			})
+		})
+	}
+}
+
+// sleepMode selects what the non-keeper nodes of sleepProg do; see
+// sleepProg.
+type sleepMode int
+
+const (
+	// noSleep: nobody sleeps; non-keepers re-send their identifier every
+	// round (the busy program sleepers share a session with).
+	noSleep sleepMode = iota
+	// sendAndSleep: odd non-keepers stay awake and send their identifier
+	// in rounds 3 and 4, calling Sleep in round 4's step; even non-keepers
+	// sleep from round 1.
+	sendAndSleep
+	// initSleep: every node sleeps in InitWords; in round 1 non-keepers
+	// with identifier divisible by 3 start a relay token and sleep.
+	initSleep
+	// sleepAndHalt: sendAndSleep, and every halting step also calls Sleep
+	// (before Halt on even identifiers, after it on odd ones).
+	sleepAndHalt
+	// relay: sendAndSleep, but round 4's send is a relay token, so
+	// sleepers are woken by neighbors that fell asleep in the same step.
+	relay
+)
+
+// Message words of sleepProg: identifiers are positive, haltWord floods
+// the end of the run and relayToken(k) carries k further hops.
+const (
+	haltWord   = -1
+	keepUntil  = 12
+	relayHops  = 4
+	relayFloor = -2
+)
+
+func relayToken(k int64) int64 { return relayFloor - k }
+
+// sleepProg is a word program built to exercise Node.Sleep. In round 0
+// every node sends its identifier. In round 1 a node smaller than all
+// its neighbors becomes a keeper (output word 1): it never sleeps, and
+// in round keepUntil it floods haltWord and halts. Every other node
+// follows its mode while awake and, once it sleeps, acts only on
+// messages, as the Sleep contract demands: it forwards haltWord and
+// halts, forwards a relay token with one hop less, and sleeps again.
+// Every node folds each message it receives, with the round and the
+// port, into output word 0, so a message delivered twice, late or not
+// at all changes the output. Every component has a keeper, so every run
+// ends.
+type sleepProg struct{ mode sleepMode }
+
+func (sleepProg) MessageWords() int { return 1 }
+func (sleepProg) InputWidth() int   { return 0 }
+func (sleepProg) OutputWidth() int  { return 2 }
+
+func (p sleepProg) InitWords(n *dist.Node) {
+	if n.Degree() == 0 {
+		n.Halt()
+		return
+	}
+	n.SendAllWord(int64(n.ID()))
+	if p.mode == initSleep {
+		n.Sleep()
+	}
+}
+
+func (p sleepProg) StepWords(n *dist.Node, in dist.WordInbox) {
+	out := n.OutputWords()
+	r, id := n.Round(), int64(n.ID())
+	keeper, halt, hops := r == 1, false, int64(0)
+	for q := 0; q < in.Ports(); q++ {
+		if !in.Has(q) {
+			continue
+		}
+		w := in.Word(q)
+		out[0] = out[0]*31 + int64(r)*1_000_003 + int64(q)*1_009 + w
+		switch {
+		case r == 1:
+			keeper = keeper && w > id
+		case w == haltWord:
+			halt = true
+		case w < relayFloor:
+			hops = max(hops, relayFloor-w)
+		}
+	}
+	if r == 1 && keeper {
+		out[1] = 1
+	}
+	if out[1] == 1 {
+		if r == keepUntil {
+			p.halt(n)
+		}
+		return
+	}
+	if halt {
+		p.halt(n)
+		return
+	}
+	if hops > 1 {
+		n.SendAllWord(relayToken(hops - 1))
+	}
+	switch {
+	case p.mode == noSleep:
+		n.SendAllWord(id)
+		return
+	case p.mode == initSleep && r == 1 && id%3 == 0:
+		n.SendAllWord(relayToken(relayHops))
+	case p.mode != initSleep && id%2 == 1 && r < 4:
+		if r == 3 {
+			n.SendAllWord(id)
+		}
+		return // awake until round 4
+	case p.mode != initSleep && id%2 == 1 && r == 4:
+		if p.mode == relay {
+			n.SendAllWord(relayToken(relayHops))
+		} else {
+			n.SendAllWord(id)
+		}
+	}
+	n.Sleep()
+}
+
+// halt floods haltWord and halts; under sleepAndHalt the step also calls
+// Sleep, which Halt must override.
+func (p sleepProg) halt(n *dist.Node) {
+	n.SendAllWord(haltWord)
+	sleepToo := p.mode == sleepAndHalt
+	if sleepToo && n.ID()%2 == 0 {
+		n.Sleep()
+	}
+	n.Halt()
+	if sleepToo && n.ID()%2 == 1 {
+		n.Sleep()
+	}
+}
+
+// sleepOutcome is the deterministic part of a sleepProg run.
+type sleepOutcome struct {
+	Out []int64
+	cost
+}
+
+// runSleepProg runs sleepProg in the given mode. The haltWord flood
+// reaches every node within n hops of its keeper, which bounds the run.
+func runSleepProg(net *dist.Network, mode sleepMode, fc filterCase) (sleepOutcome, error) {
+	budget := keepUntil + net.Graph().N()
+	res, err := net.Run(sleepProg{mode}, dist.RunOptions{Labels: fc.labels, Active: fc.active, MaxRounds: budget})
+	if err != nil {
+		return sleepOutcome{}, err
+	}
+	return sleepOutcome{append([]int64(nil), res.OutputWords...), cost{res.Rounds, res.Messages}}, nil
+}
+
+func sleepNet(t *testing.T) (*dist.Network, *rand.Rand) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(77))
+	return differentialNet(graph.Gnp(300, 0.02, rng), 78), rng
+}
+
+// TestReferenceSleep runs each sleepProg mode against the reference
+// engine, which ignores Sleep, with and without filters:
+//   - sendAndSleep: a node sends and sleeps in one step. A skipped node
+//     that left its sent flags set would deliver them again two rounds
+//     later.
+//   - initSleep: Sleep in InitWords; those nodes step once more in round
+//     1, since no round-0 send was stamped.
+//   - sleepAndHalt: Sleep and Halt in one step; Halt wins.
+//   - relay: a sleeper woken by a neighbor that fell asleep in the step
+//     that sent the message.
+func TestReferenceSleep(t *testing.T) {
+	net, rng := sleepNet(t)
+	fcs := filterCases(net.Graph().N(), rng)
+	for _, mode := range []struct {
+		name string
+		mode sleepMode
+	}{
+		{"send-and-sleep", sendAndSleep},
+		{"init-sleep", initSleep},
+		{"sleep-and-halt", sleepAndHalt},
+		{"relay", relay},
+	} {
+		for _, fc := range fcs {
+			t.Run(mode.name+"/"+fc.name, func(t *testing.T) {
+				got := matchesReference(t, net, func(net *dist.Network) (sleepOutcome, error) {
+					return runSleepProg(net, mode.mode, fc)
+				})
+				if got.Rounds <= keepUntil {
+					t.Fatalf("run ended at round %d, before the keepers' flood", got.Rounds)
+				}
+			})
+		}
+	}
+}
+
+// TestReferenceSleepAfterReuse runs a sleeping program on engine views
+// whose pooled columns were left dirty by the run before it - a busy
+// program aborted by its round budget, and a sleeping one aborted with
+// sleep states and wake stamps still set - and requires the reference
+// engine's result. The pooled message, sleep and wake columns are not
+// zeroed between runs, so this checks the flag hygiene invariant with
+// sleepers in play.
+func TestReferenceSleepAfterReuse(t *testing.T) {
+	net, rng := sleepNet(t)
+	for _, fc := range filterCases(net.Graph().N(), rng) {
+		t.Run(fc.name, func(t *testing.T) {
+			want, err := runSleepProg(dist.Reference(net), sendAndSleep, fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range engineViews(t, net) {
+				for _, dirty := range []struct {
+					mode   sleepMode
+					rounds int
+				}{{noSleep, 5}, {relay, 6}} {
+					_, err := v.net.Run(sleepProg{dirty.mode}, dist.RunOptions{Labels: fc.labels, Active: fc.active, MaxRounds: dirty.rounds})
+					if !errors.Is(err, dist.ErrMaxRounds) {
+						t.Fatalf("%s: dirtying run (mode %d): err=%v, want ErrMaxRounds", v.name, dirty.mode, err)
+					}
+					got, err := runSleepProg(v.net, sendAndSleep, fc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s after a mode-%d run diverges from the reference engine:\nengine    %+v\nreference %+v", v.name, dirty.mode, got.cost, want.cost)
+					}
+				}
+			}
 		})
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -169,6 +169,7 @@ type Node struct {
 	fail   *runFailure
 	sent   int64
 	halted bool
+	asleep bool
 }
 
 // ID returns the node's LOCAL-model identifier in {1..n}.
@@ -190,6 +191,19 @@ func (n *Node) N() int { return n.total }
 // nothing after the current call. Messages sent in the same call are
 // still delivered next round.
 func (n *Node) Halt() { n.halted = true }
+
+// Sleep is a scheduling hint in the style of Pregel's vote-to-halt: the
+// node declares that its StepWords is a no-op until a message arrives.
+// The engine may skip the node from the next round on until a visible
+// neighbor sends to it; it then steps in the round that delivers the
+// message. A sleeping node stays live and keeps its state. The hint
+// covers one call: a woken node that is still waiting calls Sleep again.
+// Halt in the same call wins. An engine may ignore the hint (the
+// reference engine does), so a program that keeps the contract gets the
+// same outputs, rounds and messages either way.
+//
+//distvet:noalloc
+func (n *Node) Sleep() { n.asleep = true }
 
 // Network binds a graph to an identifier assignment and runs vertex
 // programs over it. A Network is immutable and reusable: successive Run
@@ -352,10 +366,6 @@ type simulation struct {
 	rs *runScratch
 
 	nodes []*Node // indexed by vertex; nil for inactive vertices
-	// haltedAt[v] is the round at which v halted (math.MaxInt while
-	// running). It is written only between rounds, so workers may read
-	// neighbors' entries without synchronization.
-	haltedAt []int
 	// live is the mutable live list (collectHalted prunes it);
 	// liveSpare is the equal-capacity double buffer the parallel
 	// compaction writes into before the two swap.
@@ -392,11 +402,20 @@ type simulation struct {
 	startRound int
 	resumed    bool
 
-	// Message-transport state (see batch.go).
+	// Message-transport state (see batch.go). inCols[par] is the inbox
+	// descriptor of parity par's word column.
 	width  int
 	wwords [2][]int64
 	wsent  [2][]uint8
+	inCols [2]inboxCol
 	clearQ []int // nodes halted last round, flags pending a clear
+
+	// Sleep scheduling (see batch.go). sleep[v] is v's sleep state,
+	// written only by v's own step; wake[v] is v's wake stamp, written
+	// by its senders. wake is nil until the first round boundary after a
+	// node slept, and senders stamp only while it is set.
+	sleep []uint8
+	wake  []atomic.Int32
 
 	// outCol is the run's output column (wordio.go); nil when the
 	// algorithm declares no output words.
@@ -454,42 +473,44 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 	}
 	rs.nodes = grown(rs.nodes, n)
 	rs.arr = grown(rs.arr, n)
-	rs.haltedAt = grown(rs.haltedAt, n)
+	rs.sleep = grown(rs.sleep, n)
 	rs.live = grown(rs.live, len(topo.live))
 	rs.liveSpare = grown(rs.liveSpare, len(topo.live))
-	s.nodes, s.haltedAt = rs.nodes, rs.haltedAt
+	s.nodes, s.sleep = rs.nodes, rs.sleep
 	s.live, s.liveSpare = rs.live, rs.liveSpare
 	copy(s.live, topo.live)
 	// The pooled message columns are NOT zeroed between runs: a WordInbox
 	// only reads slots whose sent flag is set, and every flag read at
-	// round r belongs to a sender that either stepped round r-1 (clearing
-	// its flags at step start) or halted earlier and had them flushed
+	// round r belongs to a sender that stepped round r-1 (clearing its
+	// flags at step start), skipped round r-1 asleep (a sleeper clears
+	// its flags in its first two skipped rounds, after which both
+	// parities are clean) or halted earlier and had them flushed
 	// (flushHaltClears) - so stale content from a previous run, even one
 	// with a different topology, is never observed.
 	for i := 0; i < 2; i++ {
 		rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
 		rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
 		s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
+		s.inCols[i] = inboxCol{width: width, words: rs.wwords[i]}
 	}
 	s.clearQ = rs.clearQ[:0]
 	if ow != 0 {
 		s.outCol = net.sess.borrowOut(columnLen(ow, n, topo.totalPorts), setupW)
 	}
 
-	// One parallel sweep wires every vertex: node reset and the
-	// input/output column views.
+	// One parallel sweep wires every vertex: node reset, an awake sleep
+	// state and the input/output column views.
 	parfor(n, setupW, func(lo, hi int) {
+		clear(s.sleep[lo:hi])
 		for v := lo; v < hi; v++ {
 			ports := topo.ports[v]
 			if ports == nil { // inactive under the Active mask
 				s.nodes[v] = nil
-				s.haltedAt[v] = math.MaxInt
 				continue
 			}
 			nd := &rs.arr[v]
 			*nd = Node{id: net.ids[v], vertex: v, total: n, ports: ports, fail: &s.failSlot, width: width}
 			wireWordIO(nd, s, iw, ow, inCol, v)
-			s.haltedAt[v] = math.MaxInt
 			s.nodes[v] = nd
 		}
 	})
@@ -687,19 +708,22 @@ func chunkCuts(buf []int, m, w int) []int {
 // stepRound executes round r (round 0 = InitWords): it steps the live
 // list in the chunks live[cuts[c]:cuts[c+1]] - worker chunks, or shard
 // segments on probed sharded runs - then drops the halt flags of senders
-// whose final messages this round delivered and prunes the nodes that
-// halted. Nodes touch only their own state, and delivery reads the
-// previous round's buffers and between-round haltedAt marks, so any
-// split of the live list yields the same results. With fan every
-// nonempty chunk steps on its own goroutine; long-tail rounds of
-// wave-style programs leave few live nodes, and the auto heuristic then
-// steps inline. ns, when non-nil, receives each chunk's step wall time.
+// whose final messages this round delivered, prunes the nodes that
+// halted and, after the first round in which a node slept, turns on
+// wake stamping. Nodes touch only their own state, and delivery reads
+// only the previous round's buffers, so any split of the live list
+// yields the same results. With fan every nonempty chunk steps on its
+// own goroutine; long-tail rounds of wave-style programs leave few live
+// nodes, and the auto heuristic then steps inline. ns, when non-nil,
+// receives each chunk's step wall time.
 func (s *simulation) stepRound(r int, cuts []int, fan bool, ns []int64) {
 	chunks := len(cuts) - 1
-	s.rs.curV = grown(s.rs.curV, chunks)
+	s.rs.chunks = grown(s.rs.chunks, chunks)
 	wg := &s.rs.wg
 	for c := 0; c < chunks; c++ {
 		lo, hi := cuts[c], cuts[c+1]
+		cs := &s.rs.chunks[c]
+		*cs = chunkState{}
 		if lo == hi {
 			continue
 		}
@@ -708,31 +732,52 @@ func (s *simulation) stepRound(r int, cuts []int, fan bool, ns []int64) {
 			wall = &ns[c]
 		}
 		if !fan {
-			s.stepChunk(r, lo, hi, &s.rs.curV[c], wall)
+			s.stepChunk(r, lo, hi, cs, wall)
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int, cur *int, wall *int64) {
+		go func(lo, hi int, cs *chunkState, wall *int64) {
 			defer wg.Done()
-			s.stepChunk(r, lo, hi, cur, wall)
-		}(lo, hi, &s.rs.curV[c], wall)
+			s.stepChunk(r, lo, hi, cs, wall)
+		}(lo, hi, cs, wall)
 	}
 	wg.Wait()
 	s.flushHaltClears()
-	s.collectHalted(r)
+	s.collectHalted()
+	if s.wake == nil {
+		for _, cs := range s.rs.chunks[:chunks] {
+			if cs.slept {
+				s.startStamping()
+				break
+			}
+		}
+	}
+}
+
+// chunkState is one step chunk's bookkeeping, padded to a cache line so
+// the per-vertex cursor writes of concurrent chunks do not share one.
+// cur is the live-list index being stepped, which the panic guard
+// (stepSliceGuarded) uses to attribute a recovered vertex-program panic
+// to the exact vertex; stepped counts the chunk's InitWords/StepWords
+// calls and slept records that one of them called Sleep.
+type chunkState struct {
+	cur     int
+	stepped int
+	slept   bool
+	_       [64 - 24]byte
 }
 
 // stepChunk steps live[lo:hi] under the panic guard with the chunk's
-// cursor cur, timing it into *wall for the probe when wall is non-nil.
+// state cs, timing it into *wall for the probe when wall is non-nil.
 //
 //distvet:wallclock chunk timing feeds only the probe's documented non-deterministic chunk wall fields
-func (s *simulation) stepChunk(r, lo, hi int, cur *int, wall *int64) {
+func (s *simulation) stepChunk(r, lo, hi int, cs *chunkState, wall *int64) {
 	if wall == nil {
-		s.stepSliceGuarded(r, lo, hi, cur)
+		s.stepSliceGuarded(r, lo, hi, cs)
 		return
 	}
 	t := time.Now()
-	s.stepSliceGuarded(r, lo, hi, cur)
+	s.stepSliceGuarded(r, lo, hi, cs)
 	*wall = time.Since(t).Nanoseconds()
 }
 
@@ -740,8 +785,8 @@ func (s *simulation) stepChunk(r, lo, hi int, cur *int, wall *int64) {
 // a vertex program (or an engine misuse panic raised inside one, e.g. a
 // bad Send port) is recovered on this worker goroutine and converted
 // into the Node.Fail path so the run degrades to a deterministic failed
-// run instead of a crashed process. cur points at this chunk's pooled
-// cursor slot; stepSlice keeps it on the live-list index being stepped.
+// run instead of a crashed process. cs is this chunk's pooled state;
+// stepSlice keeps cs.cur on the live-list index being stepped.
 //
 // Determinism: the live list ascends and a panic only skips the REST of
 // its own chunk, so the globally smallest panicking vertex always gets
@@ -751,22 +796,22 @@ func (s *simulation) stepChunk(r, lo, hi int, cur *int, wall *int64) {
 // totals of panicked runs are not pinned across worker counts.)
 //
 //distvet:noalloc
-func (s *simulation) stepSliceGuarded(r, lo, hi int, cur *int) {
-	*cur = lo
-	defer s.recoverStep(r, lo, hi, cur)
-	s.stepSlice(r, lo, hi, cur)
+func (s *simulation) stepSliceGuarded(r, lo, hi int, cs *chunkState) {
+	cs.cur = lo
+	defer s.recoverStep(r, lo, hi, cs)
+	s.stepSlice(r, lo, hi, cs)
 }
 
 // recoverStep is stepSliceGuarded's deferred recovery: it attributes the
 // panic to the vertex under the chunk cursor and records it into the
 // run's failure slot wrapped in ErrVertexPanic.
-func (s *simulation) recoverStep(r, lo, hi int, cur *int) {
+func (s *simulation) recoverStep(r, lo, hi int, cs *chunkState) {
 	rec := recover()
 	if rec == nil {
 		return
 	}
 	err := fmt.Errorf("vertex program panic at round %d phase %q: %v: %w", r, s.phase, rec, ErrVertexPanic)
-	if i := *cur; i >= lo && i < hi && i < len(s.live) {
+	if i := cs.cur; i >= lo && i < hi && i < len(s.live) {
 		if nd := s.nodes[s.live[i]]; nd != nil {
 			nd.Fail(err)
 			return
@@ -777,27 +822,42 @@ func (s *simulation) recoverStep(r, lo, hi int, cur *int) {
 	s.failSlot.record(-1, -1, err)
 }
 
-// stepSlice steps the live nodes in [lo, hi): outbox binding, inbox
-// wiring and the InitWords/StepWords dispatch. This is the per-node
-// round loop; the only allocations on a steady-state round are the
-// vertex program's own. Slot bases and the inSlots delivery table come
-// from the session-cached topology (session.go); the round-parity
+// stepSlice steps the live nodes in [lo, hi): sleep check, outbox
+// binding, inbox wiring, the InitWords/StepWords dispatch and, once
+// stamping is on, the wake stamps of the step's sends. This is the
+// per-node round loop; the only allocations on a steady-state round are
+// the vertex program's own. Slot bases and the inSlots delivery table
+// come from the session-cached topology (session.go); the round-parity
 // columns are the pooled, intentionally non-zeroed arrays of the run
 // scratch - every flag a WordInbox reads was cleared this run by its
-// owner's step (clear(nd.wmark) below) or by flushHaltClears, so stale
-// content from earlier runs is never observed.
+// owner's step (clear(nd.wmark) below), its owner's first two skipped
+// rounds (skipSleeper) or flushHaltClears, so stale content from earlier
+// runs is never observed. A sleeping node's state byte is read before
+// its *Node is loaded, so a skipped step touches neither.
 //
 //distvet:noalloc
-func (s *simulation) stepSlice(r, lo, hi int, cur *int) {
+func (s *simulation) stepSlice(r, lo, hi int, cs *chunkState) {
 	w := s.width
 	par := r % 2
 	words := s.wwords[par]
 	sent := s.wsent[par]
 	base := s.topo.base
-	in := WordInbox{width: w, words: s.wwords[1-par], sent: s.wsent[1-par]}
+	sleep, wake := s.sleep, s.wake
+	in := WordInbox{col: &s.inCols[1-par], sent: s.wsent[1-par]}
+	stepped, slept := 0, false
 	for i := lo; i < hi; i++ {
-		*cur = i
+		cs.cur = i
 		v := s.live[i]
+		if st := sleep[v]; st != awake {
+			if !s.woken(v, r) {
+				if st < sleepClean {
+					s.skipSleeper(v, sent)
+					sleep[v] = st + 1
+				}
+				continue
+			}
+			sleep[v] = awake
+		}
 		nd := s.nodes[v]
 		nd.round = r
 		b := base[v]
@@ -805,27 +865,42 @@ func (s *simulation) stepSlice(r, lo, hi int, cur *int) {
 		nd.wout = words[b*w : (b+deg)*w : (b+deg)*w]
 		nd.wmark = sent[b : b+deg : b+deg]
 		clear(nd.wmark)
+		sentBefore := nd.sent
+		stepped++
 		if r == 0 {
 			s.algo.InitWords(nd)
-			continue
+		} else {
+			in.slots = s.topo.slots(v)
+			s.algo.StepWords(nd, in)
 		}
-		in.slots = s.topo.slots(v)
-		s.algo.StepWords(nd, in)
+		if wake != nil && nd.sent != sentBefore {
+			stampWake(wake, nd.ports, nd.wmark, int32(r+1))
+		}
+		if nd.asleep {
+			nd.asleep = false
+			slept = true
+			// A node that fell asleep before stamping began may have
+			// been sent an unstamped message this round: it steps once
+			// more.
+			if wake != nil && !nd.halted {
+				sleep[v] = asleep
+			}
+		}
 	}
+	cs.stepped, cs.slept = stepped, slept
 }
 
-// collectHalted prunes nodes that halted during round r from the live
+// collectHalted prunes nodes that halted during the round from the live
 // set, preserving order so later rounds process nodes deterministically.
 // Large live sets compact in parallel: per-chunk counts, a serial prefix
 // sum, then an order-preserving parallel copy into the spare buffer.
-func (s *simulation) collectHalted(r int) {
+func (s *simulation) collectHalted() {
 	m := len(s.live)
 	w := s.sweepWorkers(m)
 	if w <= 1 {
 		kept := s.live[:0]
 		for _, v := range s.live {
-			if s.nodes[v].halted {
-				s.haltedAt[v] = r
+			if s.halted(v) {
 				s.clearQ = append(s.clearQ, v)
 			} else {
 				kept = append(kept, v)
@@ -842,10 +917,7 @@ func (s *simulation) collectHalted(r int) {
 	parfor(m, w, func(lo, hi int) {
 		kept := 0
 		for i := lo; i < hi; i++ {
-			v := s.live[i]
-			if s.nodes[v].halted {
-				s.haltedAt[v] = r
-			} else {
+			if !s.halted(s.live[i]) {
 				kept++
 			}
 		}
@@ -868,7 +940,7 @@ func (s *simulation) collectHalted(r int) {
 		ho := clearBase + (lo - starts[c])
 		for i := lo; i < hi; i++ {
 			v := s.live[i]
-			if s.nodes[v].halted {
+			if s.halted(v) {
 				s.clearQ[ho] = v
 				ho++
 			} else {
@@ -880,6 +952,13 @@ func (s *simulation) collectHalted(r int) {
 	// Swap the buffers: the pruned list becomes live, the old backing
 	// becomes the next compaction's destination.
 	s.live, s.liveSpare = dst[:keptTotal], s.live[:cap(s.live)]
+}
+
+// halted reports whether live node v halted this round. A node whose
+// sleep state is set was skipped or fell asleep without halting, so its
+// *Node is not loaded.
+func (s *simulation) halted(v int) bool {
+	return s.sleep[v] == awake && s.nodes[v].halted
 }
 
 // sweepWorkersFor is sweepWorkers for code running before the simulation

@@ -21,7 +21,16 @@
 // their own Node, so the engine may execute each round on a worker pool
 // without affecting results.
 //
-// Cost accounting follows the paper: Result reports the number of
+// Node.Sleep is a scheduling hint in the style of Pregel's vote-to-halt.
+// Its contract is "my StepWords is a no-op until a message arrives": the
+// engine skips a sleeping node until a visible neighbor sends to it, and
+// the node steps in the round that delivers the message. Skipping is
+// exact, so results - and RoundRecord.Stepped - are identical at every
+// worker and shard count. The reference engine ignores the hint, so the
+// differential tests show that each sleeping program keeps the contract
+// (see batch.go for the wake stamps and the skipped-step bookkeeping).
+//
+
 // communication rounds (the LOCAL measure) and messages sent; Tally
 // accumulates both across the phases of a multi-stage pipeline.
 //
@@ -33,7 +42,12 @@
 // per-vertex input and output widths (or one word per visible port;
 // wordio.go). Messages travel through two round-parity word columns;
 // inputs and outputs are flat []int64 columns (RunOptions.InputWords,
-// Result.OutputWords), and a Run boxes nothing per vertex. Node.State
+// Result.OutputWords), and a Run boxes nothing per vertex. A WordInbox
+// is seven machine words, so the StepWords interface call passes it in
+// registers: it holds the sent flags and the node's delivery slots
+// inline and reaches the previous parity's word column through a
+// pointer to one descriptor per round parity, owned by the pooled
+// simulation. Node.State
 // remains for the rare per-node value that is not a word, such as the
 // random source of a randomized baseline. Vertex programs report input
 // or palette errors through Node.Fail, which aborts the run with a
@@ -60,10 +74,15 @@
 //     filtered topologies live in a small content-keyed LRU, sized for
 //     orchestrators that revisit one filter a few runs apart. Cached
 //     tables are immutable and engine-owned; callers never see them.
-//   - Run scratch. The mutable per-run state (node array, halt marks,
-//     live list, message columns, the word output column) is pooled:
-//     a repeated unfiltered run performs no setup allocations
-//     at all (a regression test pins this). Concurrent runs on one
+//   - Run scratch. The mutable per-run state (node array, sleep and
+//     wake columns, live list, message columns, the word output column)
+//     is pooled: a repeated unfiltered run performs no setup allocations
+//     at all (a regression test pins this). The message columns are not
+//     zeroed between runs: every sent flag an inbox reads was cleared
+//     this run by its owner's step, by its owner's first two skipped
+//     rounds while asleep (after which both parities are clean), or by
+//     the between-round flush of halted senders, so a run never observes
+//     another run's messages, sleepers included. Concurrent runs on one
 //     network are safe - whoever finds the pool busy falls back to
 //     fresh allocations - but the Result.OutputWords reclamation
 //     contract (wordio.go) still requires the caller to decode an output
@@ -141,6 +160,9 @@
 //   - Records only cover rounds 1..Result.Rounds; InitWords' messages
 //     fold into the first round's record, and a run that halts at
 //     InitWords emits a RunRecord but no RoundRecords.
+//   - RoundRecord.Live counts the nodes not yet halted, Stepped the
+//     ones whose StepWords ran; the difference is the sleepers the
+//     engine skipped.
 //
 // RunRecords also expose the session telemetry above (TopoCached,
 // ScratchPooled, setup vs. compute time), which is how cache behavior
@@ -206,8 +228,8 @@
 //   - //distvet:noalloc - in a function's doc comment: the function is
 //     on the per-vertex hot path and must contain no allocating
 //     constructs. The round loop (stepSlice, stepSliceGuarded,
-//     flushHaltClears), the word-column Node accessors, and every
-//     InitWords/StepWords implementation carry it. cmd/escapecheck
+//     flushHaltClears, stampWake), the word-column Node accessors,
+//     Node.Sleep, and every InitWords/StepWords implementation carry it. cmd/escapecheck
 //     additionally pins the compiler's escape picture of these
 //     functions against ESCAPES.baseline.
 //   - //distvet:alloc-ok <why> - on a site line inside a noalloc

@@ -32,8 +32,11 @@ type RoundRecord struct {
 	Run int64 `json:"run"`
 	// Round is the StepWords round index, starting at 1.
 	Round int `json:"round"`
-	// Live is the number of live nodes stepping this round.
+	// Live is the number of live (not yet halted) nodes this round.
 	Live int `json:"live"`
+	// Stepped is the number of nodes whose StepWords ran this round: the
+	// live nodes minus the sleepers the engine skipped (Node.Sleep).
+	Stepped int `json:"stepped"`
 	// Messages is the number of messages sent this round (round 1
 	// includes InitWords' sends; see above).
 	Messages int64 `json:"messages"`
@@ -418,6 +421,7 @@ func (t *tracer) round(s *simulation, r int) {
 	var sum int64
 	nonempty := 0
 	for c := 0; c < chunks; c++ {
+		rec.Stepped += s.rs.chunks[c].stepped
 		if cuts[c] < cuts[c+1] {
 			nonempty++
 			sum += ns[c]

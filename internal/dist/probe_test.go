@@ -83,8 +83,8 @@ func TestProbeRoundAccounting(t *testing.T) {
 	}
 }
 
-// TestProbeOnMatchesProbeOff pins the zero-interference property: the
-// probed twin of the run loop produces the identical Result.
+// TestProbeOnMatchesProbeOff pins the zero-interference property: a
+// probed run of the one run loop produces the identical Result.
 func TestProbeOnMatchesProbeOff(t *testing.T) {
 	plain := runGossip(t, 42, 0)
 	probed, _ := probedGossip(t, 0)
@@ -297,8 +297,8 @@ func BenchmarkRunProbeOn(b *testing.B) {
 // must allocate identically with and without a probe attached (the
 // probe's ring is preallocated and its records are emitted off the
 // round loop). Wall clock is measured on interleaved samples and the
-// disabled-path median must not exceed the probed twin's - the probed
-// twin does strictly more work per round, so on any sane machine the
+// disabled-path median must not exceed the probed run's - a probed run
+// does strictly more work per round, so on any sane machine the
 // disabled overhead versus the pre-probe loop is bounded well under
 // the probed delta. Opt-in via PROBE_OVERHEAD_GATE=1: wall medians on
 // shared runners are too noisy for an always-on test.
@@ -347,6 +347,6 @@ func TestProbeDisabledOverheadGate(t *testing.T) {
 		t.Errorf("probe changed steady-state allocations: %d without vs %d with", offAllocs, onAllocs)
 	}
 	if offMed > onMed*1.01 {
-		t.Errorf("disabled path (%.0f ns/op) slower than the probed twin (%.0f ns/op)", offMed, onMed)
+		t.Errorf("disabled path (%.0f ns/op) slower than the probed run (%.0f ns/op)", offMed, onMed)
 	}
 }

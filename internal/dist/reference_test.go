@@ -13,7 +13,9 @@ import (
 // fresh inbox map from the previous round's sends; there is no pooling,
 // no parity column, no worker pool and no sharding. It ignores Workers,
 // Context, WallBudget and SnapshotOnAbort, and it does not contain
-// panics - the differential tests use none of them.
+// panics - the differential tests use none of them. It also ignores the
+// Node.Sleep hint and steps every live node every round, so a
+// differential test shows that each sleeper kept the Sleep contract.
 
 // refPort addresses one inbox slot: port p of vertex v.
 type refPort struct{ v, p int }
@@ -147,7 +149,7 @@ func refInbox(inbox map[refPort][]int64, v, deg, w int) WordInbox {
 			copy(words[p*w:], m)
 		}
 	}
-	return WordInbox{width: w, words: words, sent: sent, slots: slots}
+	return WordInbox{col: &inboxCol{width: w, words: words}, sent: sent, slots: slots}
 }
 
 // Reference returns a view of net whose runs execute on the reference

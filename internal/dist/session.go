@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -14,9 +15,9 @@ import (
 // lists, live sets, columnar slot bases and the batch delivery table - is
 // built once (in parallel) and cached, so the dozens of phase runs a
 // coloring pipeline performs on one network stop re-sweeping the graph.
-// The session also pools the per-run mutable state (node array, halt
-// marks, live list, message columns), which makes the setup of a repeated
-// run allocation-free; see the ownership notes in doc.go.
+// The session also pools the per-run mutable state (node array, sleep
+// and wake columns, live list, message columns), which makes the setup
+// of a repeated run allocation-free; see the ownership notes in doc.go.
 //
 // Cache structure. The unfiltered topology (nil Labels/Active - or
 // filters equivalent to it: uniform labels, all-true active) is cached
@@ -359,7 +360,8 @@ type runScratch struct {
 	sim       simulation
 	nodes     []*Node
 	arr       []Node
-	haltedAt  []int
+	sleep     []uint8
+	wake      []atomic.Int32
 	live      []int
 	liveSpare []int
 	clearQ    []int
@@ -372,10 +374,8 @@ type runScratch struct {
 	sums   []int64
 	counts []int
 	starts []int
-	// curV holds one live-list cursor per step chunk: stepSlice records
-	// the index it is stepping so the panic guard (stepSliceGuarded) can
-	// attribute a recovered vertex-program panic to the exact vertex.
-	curV []int
+	// chunks holds one chunkState per step chunk (dist.go).
+	chunks []chunkState
 	// wg joins the goroutines of a fanned-out step or send-count sweep.
 	wg sync.WaitGroup
 	// chunkNS, shardCuts, shardCum and shardPrev are the telemetry

@@ -27,6 +27,15 @@ import (
 // mid-run, while column-state programs (e.g. forest.WaitColorAlgo) are
 // by design. Every view shares the one flat column layout, so a
 // snapshot taken at one shard count resumes at any other.
+//
+// Sleep state (Node.Sleep) is not captured: every node of a resumed run
+// starts awake, and stamping starts over after its first Sleep. A node
+// that was asleep at the boundary steps again with an empty inbox, which
+// the Sleep contract makes a no-op, so the resumed run's outputs, rounds
+// and messages are those of the uninterrupted run; only its per-round
+// RoundRecord.Stepped counts may be higher. The flags a sleeper had not
+// yet cleared sit in the spent parity, which restore zeroes. The DSN1
+// layout is unchanged by sleeping.
 
 // snapMagic/snapVersion frame the serialized form. The version bumps on
 // any layout change; ReadSnapshot rejects unknown versions.

@@ -110,11 +110,15 @@ func (a WaitColorAlgo) InitWords(n *dist.Node) {
 	}
 	if pending == 0 {
 		a.finishWords(n)
+		return
 	}
+	n.Sleep()
 }
 
 // StepWords records announced parent colors into the node's own input
 // slots (flag 1 -> color+2), so the only state is the words themselves.
+// A node still waiting sleeps: with no message its step changes nothing,
+// which is the dist.Node.Sleep contract.
 //
 //distvet:noalloc
 func (a WaitColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
@@ -132,7 +136,9 @@ func (a WaitColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	}
 	if pending == 0 {
 		a.finishWords(n)
+		return
 	}
+	n.Sleep()
 }
 
 // finishWords chooses the node's color, publishes it as the output,

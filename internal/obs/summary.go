@@ -94,6 +94,11 @@ type PhaseSummary struct {
 	// the live-set decay the trace captured.
 	PeakLive int
 	LastLive int
+	// Live and Stepped sum RoundRecord.Live and RoundRecord.Stepped over
+	// the phase's recorded rounds: Live-Stepped node-rounds were sleepers
+	// the engine skipped (dist.Node.Sleep).
+	Live    int64
+	Stepped int64
 	// MsgsPerRound is Messages / Rounds (0 when roundless).
 	MsgsPerRound float64
 	// MaxImbalance is the worst per-round max/mean chunk-time ratio
@@ -149,6 +154,8 @@ func Summarize(tr *Trace) []PhaseSummary {
 	for _, r := range tr.Rounds {
 		s := get(phaseOf[r.Run])
 		s.LastLive = r.Live
+		s.Live += int64(r.Live)
+		s.Stepped += int64(r.Stepped)
 		if r.MeanChunkNS > 0 {
 			if ratio := float64(r.MaxChunkNS) / float64(r.MeanChunkNS); ratio > s.MaxImbalance {
 				s.MaxImbalance = ratio
@@ -166,16 +173,16 @@ func Summarize(tr *Trace) []PhaseSummary {
 // Table renders the phase summaries as an aligned text table.
 func Table(w io.Writer, phases []PhaseSummary) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "PHASE\tRUNS\tROUNDS\tMESSAGES\tMSGS/ROUND\tWALL\tSETUP\tPEAK-LIVE\tLAST-LIVE\tIMBAL\tCACHE\tERRS")
+	fmt.Fprintln(tw, "PHASE\tRUNS\tROUNDS\tMESSAGES\tMSGS/ROUND\tWALL\tSETUP\tPEAK-LIVE\tLAST-LIVE\tSTEPPED/LIVE\tIMBAL\tCACHE\tERRS")
 	for _, p := range phases {
 		name := p.Phase
 		if name == "" {
 			name = "(unlabeled)"
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.1f\t%s\t%s\t%d\t%d\t%.2f\t%d/%d\t%d\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.1f\t%s\t%s\t%d\t%d\t%d/%d\t%.2f\t%d/%d\t%d\n",
 			name, p.Runs, p.Rounds, p.Messages, p.MsgsPerRound,
 			p.Wall.Round(time.Microsecond), p.Setup.Round(time.Microsecond),
-			p.PeakLive, p.LastLive, p.MaxImbalance, p.TopoHits, p.Runs, p.Errs)
+			p.PeakLive, p.LastLive, p.Stepped, p.Live, p.MaxImbalance, p.TopoHits, p.Runs, p.Errs)
 	}
 	return tw.Flush()
 }

@@ -78,7 +78,8 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestSummarize pins the per-phase aggregation: runs joined to rounds by
-// sequence number, message and wall totals, cache-hit counts.
+// sequence number, message and wall totals, stepped and live node-rounds,
+// cache-hit counts.
 func TestSummarize(t *testing.T) {
 	tr := &Trace{
 		Runs: []dist.RunRecord{
@@ -87,10 +88,10 @@ func TestSummarize(t *testing.T) {
 			{Run: 3, Phase: "a", Rounds: 1, Messages: 2, PeakLive: 80, TopoCached: true, Err: "boom"},
 		},
 		Rounds: []dist.RoundRecord{
-			{Run: 1, Round: 1, Live: 100, Messages: 7, MaxChunkNS: 30, MeanChunkNS: 10},
-			{Run: 1, Round: 2, Live: 40, Messages: 3, MaxChunkNS: 10, MeanChunkNS: 10},
-			{Run: 2, Round: 1, Live: 50, Messages: 5},
-			{Run: 3, Round: 1, Live: 80, Messages: 2},
+			{Run: 1, Round: 1, Live: 100, Stepped: 100, Messages: 7, MaxChunkNS: 30, MeanChunkNS: 10},
+			{Run: 1, Round: 2, Live: 40, Stepped: 15, Messages: 3, MaxChunkNS: 10, MeanChunkNS: 10},
+			{Run: 2, Round: 1, Live: 50, Stepped: 50, Messages: 5},
+			{Run: 3, Round: 1, Live: 80, Stepped: 80, Messages: 2},
 		},
 	}
 	phases := Summarize(tr)
@@ -104,7 +105,7 @@ func TestSummarize(t *testing.T) {
 	if a.Runs != 2 || a.Rounds != 3 || a.Messages != 12 {
 		t.Fatalf("phase a totals %+v", a)
 	}
-	if a.PeakLive != 100 || a.LastLive != 80 {
+	if a.PeakLive != 100 || a.LastLive != 80 || a.Live != 220 || a.Stepped != 195 {
 		t.Fatalf("phase a live figures %+v", a)
 	}
 	if a.MaxImbalance != 3.0 {
@@ -121,7 +122,7 @@ func TestSummarize(t *testing.T) {
 	if err := Table(&out, phases); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "a") || !strings.Contains(out.String(), "PHASE") {
+	if !strings.Contains(out.String(), "a") || !strings.Contains(out.String(), "PHASE") || !strings.Contains(out.String(), "195/220") {
 		t.Fatalf("table output missing content:\n%s", out.String())
 	}
 }
